@@ -1,5 +1,5 @@
-//! Microbenchmarks of the storage substrate: B+tree bulk load versus
-//! incremental inserts, point gets, match seeks, and list-chain scans.
+//! Microbenchmarks of the storage substrate: B+tree bulk load, point
+//! gets, match seeks, and list-chain scans.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -24,16 +24,6 @@ fn bench_btree(c: &mut Criterion) {
             let e = env();
             let entries = (0..n).map(|i| (key(i), Vec::new()));
             black_box(BTree::bulk_load(&e, 0, entries).unwrap())
-        })
-    });
-    group.bench_function(BenchmarkId::new("insert_sorted", n), |b| {
-        b.iter(|| {
-            let e = env();
-            let t = BTree::create(&e, 0).unwrap();
-            for i in 0..n {
-                t.insert(&e, &key(i), &[]).unwrap();
-            }
-            black_box(t)
         })
     });
     group.finish();

@@ -52,10 +52,11 @@ fn build_seed(dir: &Path, cfg: &Config, classes: &[FrequencyClass]) -> PathBuf {
     };
     let tree = generate(&spec);
     eprintln!("[writepath] seed document: {} nodes", tree.len());
-    // Built directly (not via Engine::build) for two write-path needs:
-    // the stored document is the graft target for appends, and the
-    // append sweeps fan the root far beyond the generated fanout, so the
-    // Dewey level table gets generous width headroom.
+    // Built directly (not via Engine::build) with the stored document
+    // as the graft target for appends and the generous level-table width
+    // headroom the recorded baseline was measured with, so the seed's
+    // bytes stay comparable across runs. Appends do not depend on the
+    // headroom (their postings go to the segment store).
     // xk-analyze: allow(swallowed_result, reason = "removing a stale seed is best-effort; create truncates")
     std::fs::remove_file(&db).ok();
     let env = xk_storage::StorageEnv::create(&db, options()).expect("create seed env");

@@ -99,8 +99,9 @@ pub fn decode_dewey(bytes: &[u8], table: &LevelTable) -> Result<Dewey, CodecErro
 
 /// A probe key for match lookups: either the exact packed encoding, or —
 /// when the probe itself is not representable (the *uncle node* of
-/// Section 5 can have an ordinal one past the level's width) — an upper
-/// bound that sorts after every key in the subtree of the probe's
+/// Section 5 can have an ordinal one past the level's width; a node
+/// appended after the build can be wider or deeper than the table) — an
+/// upper bound that sorts after every key in the subtree of the probe's
 /// deepest representable prefix and before everything that follows it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Probe {
@@ -113,20 +114,24 @@ pub enum Probe {
 }
 
 /// Encodes a probe for `lm`/`rm`, falling back to an upper-bound key when
-/// a component overflows its level width (see [`Probe`]).
+/// a component overflows its level width or the probe is deeper than the
+/// table (see [`Probe`]). Sound for keys packed with `table`, which are
+/// never wider or deeper than it.
 pub fn encode_probe(dewey: &Dewey, table: &LevelTable) -> Result<Probe, CodecError> {
-    match encode_dewey(dewey, table) {
-        Ok(bytes) => Ok(Probe::Exact(bytes)),
-        Err(CodecError::ComponentTooLarge { level, .. }) => {
-            // Every real node either shares the prefix with a *smaller*
-            // component at `level` (thus sorts before the probe) or
-            // diverges earlier (sorting entirely before or after the
-            // prefix subtree). An upper bound of the prefix subtree is
-            // therefore an exact stand-in for the probe.
-            Ok(Probe::After(encode_upper_bound(&dewey.prefix(level), table)?))
-        }
-        Err(e) => Err(e),
-    }
+    // The longest prefix of the probe that fits the table.
+    let fits = match encode_dewey(dewey, table) {
+        Ok(bytes) => return Ok(Probe::Exact(bytes)),
+        Err(CodecError::ComponentTooLarge { level, .. }) => level,
+        Err(CodecError::TooDeep { max_depth, .. }) => max_depth,
+        Err(e) => return Err(e),
+    };
+    // Every key either diverges from that prefix before its end (sorting
+    // entirely before or after the prefix subtree) or lies inside the
+    // subtree. Inside, it has a smaller component than the probe at the
+    // overflowing level, or — when the probe is too deep — it is the
+    // prefix itself, an ancestor of the probe. Either way it sorts before
+    // the probe, so the subtree's upper bound is an exact stand-in.
+    Ok(Probe::After(encode_upper_bound(&dewey.prefix(fits), table)?))
 }
 
 /// A byte string strictly greater than the packed encoding of every node
@@ -355,8 +360,65 @@ mod tests {
             }
             other => panic!("expected Probe::After, got {other:?}"),
         }
-        // Depth overflow is still an error.
-        assert!(encode_probe(&d("0.0.0"), &t).is_err());
+        // A probe deeper than the table bounds its deepest fitting prefix.
+        match encode_probe(&d("0.1.0"), &t) {
+            Ok(Probe::After(ub)) => assert_eq!(ub, encode_upper_bound(&d("0.1"), &t).unwrap()),
+            other => panic!("expected Probe::After, got {other:?}"),
+        }
+    }
+
+    /// Resolves `rm`/`lm` for `probe` over the sorted packed `keys` the
+    /// way the IL B+tree seeks do.
+    fn seek(keys: &[Vec<u8>], probe: &Probe) -> (Option<usize>, Option<usize>) {
+        let (ge, le) = match probe {
+            Probe::Exact(k) => {
+                (keys.partition_point(|x| x < k), keys.partition_point(|x| x <= k))
+            }
+            Probe::After(b) => {
+                let i = keys.partition_point(|x| x < b);
+                (i, i)
+            }
+        };
+        ((ge < keys.len()).then_some(ge), le.checked_sub(1))
+    }
+
+    #[test]
+    fn probes_past_the_table_match_the_in_memory_list() {
+        use xk_slca::{MemList, RankedList};
+        let t = LevelTable::from_fanouts(&[3, 2, 5]); // widths 2,1,3
+        let mut all = vec![Dewey::root()];
+        for a in 0..3u32 {
+            all.push(Dewey::from_components(vec![a]));
+            for b in 0..2u32 {
+                all.push(Dewey::from_components(vec![a, b]));
+                for c in 0..5u32 {
+                    all.push(Dewey::from_components(vec![a, b, c]));
+                }
+            }
+        }
+        all.sort();
+        // Probes deeper than the table, wider than a level, and both.
+        let probes: Vec<Dewey> = [
+            "0.0.0.0", "1.1.4.7", "2.1.4.0.3", "1.0.2.9", "3", "5.0", "1.2", "1.1.8",
+            "0.1.7.1", "2.5.9.9", "1.1.2", "/",
+        ]
+        .iter()
+        .map(|s| d(s))
+        .collect();
+        // The full node set and sparse subsets of it.
+        for stride in 1..5usize {
+            for offset in 0..stride {
+                let nodes: Vec<Dewey> = all.iter().skip(offset).step_by(stride).cloned().collect();
+                let keys: Vec<Vec<u8>> =
+                    nodes.iter().map(|n| encode_dewey(n, &t).unwrap()).collect();
+                let mut list = MemList::from_sorted(nodes.clone());
+                for p in &probes {
+                    let (ge, le) = seek(&keys, &encode_probe(p, &t).unwrap());
+                    let got = (ge.map(|i| nodes[i].clone()), le.map(|i| nodes[i].clone()));
+                    assert_eq!(got, (list.rm(p), list.lm(p)), "probe {p}, stride {stride}+{offset}");
+                }
+            }
+        }
     }
 
     #[test]

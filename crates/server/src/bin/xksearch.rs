@@ -182,8 +182,8 @@ fn cmd_stats(args: &[String]) -> Result<(), AnyError> {
     for (k, f) in freqs.iter().take(10) {
         println!("  {f:>10}  {k}");
     }
-    if engine.segments_enabled() {
-        let metas = engine.segment_metas();
+    let metas = engine.segment_metas();
+    if !metas.is_empty() {
         let postings: u64 = metas.iter().map(|m| m.postings).sum();
         println!("segment blobs   : {} ({postings} sealed postings)", metas.len());
     }
@@ -479,16 +479,10 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         );
     }
     let engine = std::sync::Arc::new(engine);
-    // Segment stores get a background merger: it folds small sealed
-    // blobs into larger tiers between appends, without blocking queries.
-    let merger = if engine.segments_enabled() {
-        Some(xksearch::spawn_merger(
-            std::sync::Arc::clone(&engine),
-            std::time::Duration::from_secs(1),
-        )?)
-    } else {
-        None
-    };
+    // A background merger folds small sealed blobs into larger tiers
+    // between appends, without blocking queries.
+    let merger =
+        xksearch::spawn_merger(std::sync::Arc::clone(&engine), std::time::Duration::from_secs(1))?;
     server.install_engine(engine);
     eprintln!(
         "serving {db} with {} workers, {} cache entries, queue bound {} \
@@ -496,9 +490,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         config.workers, config.cache_entries, config.queue_cap
     );
     let final_metrics = server.join();
-    if let Some(ctl) = merger {
-        ctl.stop();
-    }
+    merger.stop();
     eprintln!("drained; final metrics:");
     println!("{final_metrics}");
     Ok(())

@@ -10,9 +10,10 @@
 //! * `rm(v, S)` — right match, the smallest key `>= v` — is [`BTree::seek_ge`];
 //! * `lm(v, S)` — left match, the largest key `<= v` — is [`BTree::seek_le`].
 //!
-//! The tree supports insert, point get, delete with rebalancing
-//! (merge-or-redistribute), ordered cursors in both directions, and
-//! persists its root in a named root slot of the [`StorageEnv`] meta page.
+//! Trees are written once, by [`BTree::bulk_load`] from sorted entries,
+//! and then only read: point gets, match seeks (stateless or through an
+//! anchored [`BTreeCursor`]) and ordered cursors in both directions. The
+//! root lives in a named root slot of the [`StorageEnv`] meta page.
 
 use crate::env::StorageEnv;
 use crate::error::{Result, StorageError};
@@ -305,23 +306,7 @@ pub struct BTree {
     slot: usize,
 }
 
-/// Outcome of inserting into a subtree: the replaced value (if the key
-/// existed) and a split (separator, new right sibling) to propagate.
-struct InsertOutcome {
-    old_value: Option<Vec<u8>>,
-    split: Option<(Vec<u8>, PageId)>,
-}
-
 impl BTree {
-    /// Creates an empty tree whose root is stored in meta slot `slot`.
-    pub fn create(env: &StorageEnv, slot: usize) -> Result<BTree> {
-        let root = env.allocate_page()?;
-        let node = Node::Leaf { prev: None, next: None, entries: Vec::new() };
-        write_node(env, root, &node)?;
-        env.set_root_slot(slot, Some(root))?;
-        Ok(BTree { slot })
-    }
-
     /// Opens the tree stored in meta slot `slot`.
     pub fn open(env: &StorageEnv, slot: usize) -> Result<BTree> {
         match env.root_slot(slot)? {
@@ -341,124 +326,12 @@ impl BTree {
         (env.page_size() - LEAF_HDR) / 4 - 4
     }
 
-    /// Inserts `key -> value`, returning the previous value if the key was
-    /// already present.
-    pub fn insert(&self, env: &StorageEnv, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        let max = Self::max_entry_size(env);
-        if key.len() + value.len() > max {
-            return Err(StorageError::EntryTooLarge {
-                entry_bytes: key.len() + value.len(),
-                max_bytes: max,
-            });
-        }
-        let root = self.root(env)?;
-        let outcome = self.insert_rec(env, root, key, value)?;
-        if let Some((sep, right)) = outcome.split {
-            let new_root_page = env.allocate_page()?;
-            let new_root = Node::Internal { keys: vec![sep], children: vec![root, right] };
-            write_node(env, new_root_page, &new_root)?;
-            env.set_root_slot(self.slot, Some(new_root_page))?;
-        }
-        Ok(outcome.old_value)
-    }
-
-    // xk-analyze: allow(panic_path, reason = "binary-search/upper_bound indices and split midpoints are in bounds for a just-overflowed node; the unreachable arms destructure variants constructed lines above")
-    fn insert_rec(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<InsertOutcome> {
-        let node = read_node(env, page)?;
-        match node {
-            Node::Leaf { prev, next, mut entries } => {
-                let old_value = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => Some(std::mem::replace(&mut entries[i].1, value.to_vec())),
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        None
-                    }
-                };
-                let candidate = Node::Leaf { prev, next, entries };
-                if candidate.serialized_size() <= env.page_size() {
-                    write_node(env, page, &candidate)?;
-                    return Ok(InsertOutcome { old_value, split: None });
-                }
-                // Split the leaf at the byte midpoint.
-                let (prev, old_next, entries) = match candidate {
-                    Node::Leaf { prev, next, entries } => (prev, next, entries),
-                    _ => unreachable!(),
-                };
-                let mid = split_point_leaf(&entries);
-                let right_entries = entries[mid..].to_vec();
-                let left_entries = entries[..mid].to_vec();
-                let sep = right_entries[0].0.clone();
-                let right_page = env.allocate_page()?;
-                // Relink siblings: left <-> right <-> old-next.
-                let left_node = Node::Leaf {
-                    prev,
-                    next: Some(right_page),
-                    entries: left_entries,
-                };
-                let right_node = Node::Leaf {
-                    prev: Some(page),
-                    next: old_next,
-                    entries: right_entries,
-                };
-                write_node(env, page, &left_node)?;
-                write_node(env, right_page, &right_node)?;
-                if let Some(n) = old_next {
-                    update_leaf_prev(env, n, Some(right_page))?;
-                }
-                Ok(InsertOutcome { old_value, split: Some((sep, right_page)) })
-            }
-            Node::Internal { mut keys, mut children } => {
-                let idx = upper_bound(&keys, key);
-                let child = children[idx];
-                let outcome = self.insert_rec(env, child, key, value)?;
-                let Some((sep, right)) = outcome.split else {
-                    return Ok(outcome);
-                };
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right);
-                let candidate = Node::Internal { keys, children };
-                if candidate.serialized_size() <= env.page_size() {
-                    write_node(env, page, &candidate)?;
-                    return Ok(InsertOutcome { old_value: outcome.old_value, split: None });
-                }
-                // Split the internal node; the middle key moves up.
-                let (keys, children) = match candidate {
-                    Node::Internal { keys, children } => (keys, children),
-                    _ => unreachable!(),
-                };
-                let mid = keys.len() / 2;
-                let promoted = keys[mid].clone();
-                let left_node = Node::Internal {
-                    keys: keys[..mid].to_vec(),
-                    children: children[..=mid].to_vec(),
-                };
-                let right_node = Node::Internal {
-                    keys: keys[mid + 1..].to_vec(),
-                    children: children[mid + 1..].to_vec(),
-                };
-                let right_page = env.allocate_page()?;
-                write_node(env, page, &left_node)?;
-                write_node(env, right_page, &right_node)?;
-                Ok(InsertOutcome {
-                    old_value: outcome.old_value,
-                    split: Some((promoted, right_page)),
-                })
-            }
-        }
-    }
-
     /// Bulk-loads a tree from **strictly ascending** `(key, value)` pairs,
-    /// replacing whatever the slot held. Leaves are packed left to right
-    /// to a ~90% fill target and internal levels are stacked bottom-up —
-    /// far cheaper than repeated [`BTree::insert`] descents, and exactly
-    /// the pattern the index builder needs (its composite keys are
-    /// generated in sorted order).
+    /// replacing whatever the slot held (an empty iterator makes an empty
+    /// tree). Leaves are packed left to right to a ~90% fill target and
+    /// internal levels are stacked bottom-up — exactly the pattern the
+    /// index builder needs (its composite keys are generated in sorted
+    /// order).
     pub fn bulk_load(
         env: &StorageEnv,
         slot: usize,
@@ -828,181 +701,6 @@ impl BTree {
         Ok(!c.is_valid())
     }
 
-    /// Deletes `key`, returning its value if it was present. Underfull
-    /// nodes are rebalanced by merging with or redistributing entries from
-    /// a sibling; emptied pages return to the free list.
-    pub fn remove(&self, env: &StorageEnv, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let root = self.root(env)?;
-        let old = self.remove_rec(env, root, key)?;
-        // Collapse a root that became a single-child internal node.
-        if let Node::Internal { keys, children } = read_node(env, root)? {
-            if keys.is_empty() {
-                env.set_root_slot(self.slot, Some(children[0]))?;
-                env.free_page(root)?;
-            }
-        }
-        Ok(old)
-    }
-
-    fn remove_rec(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>> {
-        let mut node = read_node(env, page)?;
-        match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let (_, v) = entries.remove(i);
-                        write_node(env, page, &node)?;
-                        Ok(Some(v))
-                    }
-                    Err(_) => Ok(None),
-                }
-            }
-            Node::Internal { keys, children } => {
-                let idx = upper_bound(keys, key);
-                let child = children[idx];
-                let old = self.remove_rec(env, child, key)?;
-                if old.is_some() {
-                    let child_size = read_node(env, child)?.serialized_size();
-                    if is_underfull(env, child_size) {
-                        self.rebalance_child(env, page, idx)?;
-                    }
-                }
-                Ok(old)
-            }
-        }
-    }
-
-    /// Rebalances `children[idx]` of the internal node at `page` by merging
-    /// with or borrowing from an adjacent sibling.
-    fn rebalance_child(&self, env: &StorageEnv, page: PageId, idx: usize) -> Result<()> {
-        let node = read_node(env, page)?;
-        let (keys, children) = match node {
-            Node::Internal { keys, children } => (keys, children),
-            _ => unreachable!("rebalance_child is only called on internal nodes"),
-        };
-        // Pair the child with its right sibling when one exists, otherwise
-        // its left sibling (idx >= 1 then, since internal nodes have >= 2
-        // children).
-        let (li, ri) = if idx + 1 < children.len() { (idx, idx + 1) } else { (idx - 1, idx) };
-        let left_page = children[li];
-        let right_page = children[ri];
-        let sep = keys[li].clone();
-        let left = read_node(env, left_page)?;
-        let right = read_node(env, right_page)?;
-
-        match (left, right) {
-            (
-                Node::Leaf { prev: lp, entries: mut le, .. },
-                Node::Leaf { next: rn, entries: re, .. },
-            ) => {
-                le.extend(re);
-                let combined = Node::Leaf { prev: lp, next: rn, entries: le };
-                if combined.serialized_size() <= env.page_size() {
-                    // Merge into the left page; free the right page.
-                    write_node(env, left_page, &combined)?;
-                    if let Some(n) = rn {
-                        update_leaf_prev(env, n, Some(left_page))?;
-                    }
-                    env.free_page(right_page)?;
-                    self.remove_separator(env, page, li, left_page)?;
-                } else {
-                    // Redistribute at the byte midpoint.
-                    let entries = match combined {
-                        Node::Leaf { entries, .. } => entries,
-                        _ => unreachable!(),
-                    };
-                    let mid = split_point_leaf(&entries);
-                    let new_sep = entries[mid].0.clone();
-                    let lnode = Node::Leaf {
-                        prev: lp,
-                        next: Some(right_page),
-                        entries: entries[..mid].to_vec(),
-                    };
-                    let rnode = Node::Leaf {
-                        prev: Some(left_page),
-                        next: rn,
-                        entries: entries[mid..].to_vec(),
-                    };
-                    write_node(env, left_page, &lnode)?;
-                    write_node(env, right_page, &rnode)?;
-                    self.replace_separator(env, page, li, new_sep)?;
-                }
-            }
-            (
-                Node::Internal { keys: lk, children: lc },
-                Node::Internal { keys: rk, children: rc },
-            ) => {
-                let mut all_keys = lk;
-                all_keys.push(sep);
-                all_keys.extend(rk);
-                let mut all_children = lc;
-                all_children.extend(rc);
-                let combined =
-                    Node::Internal { keys: all_keys.clone(), children: all_children.clone() };
-                if combined.serialized_size() <= env.page_size() {
-                    write_node(env, left_page, &combined)?;
-                    env.free_page(right_page)?;
-                    self.remove_separator(env, page, li, left_page)?;
-                } else {
-                    let mid = all_keys.len() / 2;
-                    let new_sep = all_keys[mid].clone();
-                    let lnode = Node::Internal {
-                        keys: all_keys[..mid].to_vec(),
-                        children: all_children[..=mid].to_vec(),
-                    };
-                    let rnode = Node::Internal {
-                        keys: all_keys[mid + 1..].to_vec(),
-                        children: all_children[mid + 1..].to_vec(),
-                    };
-                    write_node(env, left_page, &lnode)?;
-                    write_node(env, right_page, &rnode)?;
-                    self.replace_separator(env, page, li, new_sep)?;
-                }
-            }
-            _ => {
-                return Err(StorageError::Corrupt(
-                    "sibling nodes of different kinds".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// After a merge: drop separator `li` and the right child pointer.
-    fn remove_separator(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        li: usize,
-        _merged_into: PageId,
-    ) -> Result<()> {
-        let mut node = read_node(env, page)?;
-        if let Node::Internal { keys, children } = &mut node {
-            keys.remove(li);
-            children.remove(li + 1);
-        }
-        write_node(env, page, &node)
-    }
-
-    fn replace_separator(
-        &self,
-        env: &StorageEnv,
-        page: PageId,
-        li: usize,
-        sep: Vec<u8>,
-    ) -> Result<()> {
-        let mut node = read_node(env, page)?;
-        if let Node::Internal { keys, .. } = &mut node {
-            keys[li] = sep;
-        }
-        write_node(env, page, &node)
-    }
-
     /// Walks the tree and checks structural invariants (key order within
     /// and across nodes, separator correctness, child kinds). For tests.
     pub fn check_invariants(&self, env: &StorageEnv) -> Result<()> {
@@ -1323,39 +1021,10 @@ fn write_node(env: &StorageEnv, page: PageId, node: &Node) -> Result<()> {
     env.with_page_mut(page, |p| node.write(p))
 }
 
-fn update_leaf_prev(env: &StorageEnv, page: PageId, prev: Option<PageId>) -> Result<()> {
-    env.with_page_mut(page, |p| {
-        p[3..7].copy_from_slice(&PageId::encode_opt(prev).to_le_bytes());
-    })
-}
-
 fn update_leaf_next(env: &StorageEnv, page: PageId, next: Option<PageId>) -> Result<()> {
     env.with_page_mut(page, |p| {
         p[7..11].copy_from_slice(&PageId::encode_opt(next).to_le_bytes());
     })
-}
-
-/// First index `i` with `keys[i] > key` (boundary keys descend right).
-fn upper_bound(keys: &[Vec<u8>], key: &[u8]) -> usize {
-    keys.partition_point(|k| k.as_slice() <= key)
-}
-
-/// Split index for an over-full leaf: balances serialized bytes, while
-/// guaranteeing both sides are non-empty.
-fn split_point_leaf(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
-    let total: usize = entries.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
-    let mut acc = 0;
-    for (i, (k, v)) in entries.iter().enumerate() {
-        acc += 6 + k.len() + v.len();
-        if acc >= total / 2 {
-            return (i + 1).min(entries.len() - 1).max(1);
-        }
-    }
-    entries.len() / 2
-}
-
-fn is_underfull(env: &StorageEnv, serialized_size: usize) -> bool {
-    serialized_size < env.page_size() / 4
 }
 
 #[cfg(test)]
@@ -1371,43 +1040,32 @@ mod tests {
         i.to_be_bytes().to_vec()
     }
 
-    #[test]
-    fn insert_get_small() {
-        let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        assert_eq!(t.get(&env, b"a").unwrap(), None);
-        assert_eq!(t.insert(&env, b"a", b"1").unwrap(), None);
-        assert_eq!(t.insert(&env, b"b", b"2").unwrap(), None);
-        assert_eq!(t.get(&env, b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(t.insert(&env, b"a", b"9").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(t.get(&env, b"a").unwrap(), Some(b"9".to_vec()));
-        t.check_invariants(&env).unwrap();
+    /// A tree over `keys` (ascending) mapping each key to `value(key)`.
+    fn load(
+        env: &StorageEnv,
+        slot: usize,
+        keys: impl IntoIterator<Item = u32>,
+        value: impl Fn(u32) -> Vec<u8>,
+    ) -> BTree {
+        BTree::bulk_load(env, slot, keys.into_iter().map(|k| (key(k), value(k)))).unwrap()
     }
 
     #[test]
-    fn insert_many_splits() {
+    fn get_small() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let n = 2000u32;
-        for i in 0..n {
-            // Insert in a scrambled order to exercise splits everywhere.
-            let k = (i * 7919) % n;
-            t.insert(&env, &key(k), &key(k * 2)).unwrap();
-        }
+        let entries = vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), b"2".to_vec())];
+        let t = BTree::bulk_load(&env, 0, entries).unwrap();
+        assert_eq!(t.get(&env, b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(t.get(&env, b"b").unwrap(), Some(b"2".to_vec()));
+        assert_eq!(t.get(&env, b"c").unwrap(), None);
+        assert_eq!(t.get(&env, b"").unwrap(), None);
         t.check_invariants(&env).unwrap();
-        assert_eq!(t.len(&env).unwrap(), n as u64);
-        for i in 0..n {
-            assert_eq!(t.get(&env, &key(i)).unwrap(), Some(key(i * 2)));
-        }
     }
 
     #[test]
     fn seek_ge_and_le() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in (0..500u32).map(|i| i * 10) {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, (0..500u32).map(|i| i * 10), |_| Vec::new());
         // Exact hit.
         let c = t.seek_ge(&env, &key(100)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(100));
@@ -1430,10 +1088,7 @@ mod tests {
     #[test]
     fn cursor_walks_in_both_directions() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..300u32 {
-            t.insert(&env, &key(i), b"v").unwrap();
-        }
+        let t = load(&env, 0, 0..300u32, |_| b"v".to_vec());
         let mut c = t.cursor_first(&env).unwrap();
         for i in 0..300u32 {
             assert_eq!(c.read(&env).unwrap().unwrap().0, key(i));
@@ -1449,39 +1104,17 @@ mod tests {
     }
 
     #[test]
-    fn remove_everything() {
-        let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let n = 1000u32;
-        for i in 0..n {
-            t.insert(&env, &key(i), &key(i)).unwrap();
-        }
-        for i in 0..n {
-            let k = (i * 6151) % n; // scrambled deletion order
-            assert_eq!(t.remove(&env, &key(k)).unwrap(), Some(key(k)));
-            if k.is_multiple_of(100) {
-                t.check_invariants(&env).unwrap();
-            }
-        }
-        assert!(t.is_empty(&env).unwrap());
-        t.check_invariants(&env).unwrap();
-        assert_eq!(t.remove(&env, &key(1)).unwrap(), None);
-    }
-
-    #[test]
     fn variable_length_keys() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let keys: Vec<Vec<u8>> = (0..300)
+        let keys: std::collections::BTreeSet<Vec<u8>> = (0..300)
             .map(|i| {
                 let mut k = vec![b'k'; i % 23 + 1];
                 k.extend_from_slice(&(i as u32).to_be_bytes());
                 k
             })
             .collect();
-        for k in &keys {
-            t.insert(&env, k, b"x").unwrap();
-        }
+        let t =
+            BTree::bulk_load(&env, 0, keys.iter().map(|k| (k.clone(), b"x".to_vec()))).unwrap();
         t.check_invariants(&env).unwrap();
         for k in &keys {
             assert!(t.contains(&env, k).unwrap());
@@ -1492,23 +1125,22 @@ mod tests {
     #[test]
     fn entry_too_large_is_rejected() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        let huge = vec![0u8; 300];
-        assert!(matches!(
-            t.insert(&env, &huge, b""),
-            Err(StorageError::EntryTooLarge { .. })
-        ));
+        let max = BTree::max_entry_size(&env);
+        let fits = vec![(vec![1u8; max], Vec::new())];
+        assert!(BTree::bulk_load(&env, 0, fits).is_ok());
+        for entry in [(vec![0u8; 300], Vec::new()), (vec![0u8; max / 2], vec![0u8; max])] {
+            assert!(matches!(
+                BTree::bulk_load(&env, 1, vec![entry]),
+                Err(StorageError::EntryTooLarge { .. })
+            ));
+        }
     }
 
     #[test]
     fn two_trees_in_one_env() {
         let env = mem_env();
-        let a = BTree::create(&env, 0).unwrap();
-        let b = BTree::create(&env, 1).unwrap();
-        for i in 0..200u32 {
-            a.insert(&env, &key(i), b"a").unwrap();
-            b.insert(&env, &key(i), b"b").unwrap();
-        }
+        let a = load(&env, 0, 0..200u32, |_| b"a".to_vec());
+        let b = load(&env, 1, 0..200u32, |_| b"b".to_vec());
         assert_eq!(a.get(&env, &key(5)).unwrap(), Some(b"a".to_vec()));
         assert_eq!(b.get(&env, &key(5)).unwrap(), Some(b"b".to_vec()));
         a.check_invariants(&env).unwrap();
@@ -1523,10 +1155,7 @@ mod tests {
         let opts = EnvOptions { page_size: 512, pool_pages: 32 };
         {
             let env = StorageEnv::create(&path, opts.clone()).unwrap();
-            let t = BTree::create(&env, 0).unwrap();
-            for i in 0..500u32 {
-                t.insert(&env, &key(i), &key(i + 1)).unwrap();
-            }
+            load(&env, 0, 0..500u32, |i| key(i + 1));
             env.flush().unwrap();
         }
         {
@@ -1541,26 +1170,24 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_matches_incremental_inserts() {
+    fn bulk_load_builds_multi_level_trees() {
         let env = mem_env();
         let n = 3000u32;
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            (0..n).map(|i| (key(i), key(i * 2))).collect();
-        let bulk = BTree::bulk_load(&env, 0, entries.clone()).unwrap();
+        let bulk = load(&env, 0, 0..n, |i| key(i * 2));
         bulk.check_invariants(&env).unwrap();
         assert_eq!(bulk.len(&env).unwrap(), n as u64);
         for i in 0..n {
             assert_eq!(bulk.get(&env, &key(i)).unwrap(), Some(key(i * 2)));
         }
-        // Seeks behave identically to an insert-built tree.
         let c = bulk.seek_ge(&env, &key(1500)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(1500));
         let c = bulk.seek_le(&env, &key(u32::MAX)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(n - 1));
-        // And the tree stays mutable afterwards.
-        bulk.insert(&env, &key(n + 5), b"later").unwrap();
-        bulk.remove(&env, &key(7)).unwrap();
-        bulk.check_invariants(&env).unwrap();
+        // Reloading a slot replaces the tree it held.
+        let again = load(&env, 0, (0..n).step_by(2), |_| Vec::new());
+        assert_eq!(again.len(&env).unwrap(), n as u64 / 2);
+        assert_eq!(again.get(&env, &key(7)).unwrap(), None);
+        again.check_invariants(&env).unwrap();
     }
 
     #[test]
@@ -1589,29 +1216,15 @@ mod tests {
     #[test]
     fn verify_leaf_links_accepts_built_trees() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..2000u32 {
-            t.insert(&env, &key((i * 7919) % 2000), b"v").unwrap();
+        for (slot, n) in [0u32, 1, 50, 2000].into_iter().enumerate() {
+            load(&env, slot, 0..n, |_| Vec::new()).verify_leaf_links(&env).unwrap();
         }
-        t.verify_leaf_links(&env).unwrap();
-        // Bulk-loaded trees too.
-        let entries: Vec<_> = (0..2000u32).map(|i| (key(i), vec![])).collect();
-        let b = BTree::bulk_load(&env, 1, entries).unwrap();
-        b.verify_leaf_links(&env).unwrap();
-        // And after deletions rebalance the chain.
-        for i in (0..2000u32).step_by(2) {
-            t.remove(&env, &key(i)).unwrap();
-        }
-        t.verify_leaf_links(&env).unwrap();
     }
 
     #[test]
     fn verify_leaf_links_detects_broken_prev() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..500u32 {
-            t.insert(&env, &key(i), b"v").unwrap();
-        }
+        let t = load(&env, 0, 0..500u32, |_| b"v".to_vec());
         // Find the second leaf and point its prev somewhere wrong.
         let first = t.cursor_first(&env).unwrap();
         let mut c = first;
@@ -1622,7 +1235,10 @@ mod tests {
                 break c.page.unwrap();
             }
         };
-        update_leaf_prev(&env, second_leaf, None).unwrap();
+        env.with_page_mut(second_leaf, |p| {
+            p[3..7].copy_from_slice(&PageId::encode_opt(None).to_le_bytes())
+        })
+        .unwrap();
         match t.verify_leaf_links(&env) {
             Err(StorageError::Corrupt(msg)) => assert!(msg.contains("asymmetric"), "{msg}"),
             other => panic!("expected asymmetric-link error, got {other:?}"),
@@ -1632,10 +1248,7 @@ mod tests {
     #[test]
     fn node_read_rejects_mangled_pages() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..50u32 {
-            t.insert(&env, &key(i), b"v").unwrap();
-        }
+        let t = load(&env, 0, 0..50u32, |_| b"v".to_vec());
         let root = t.root(&env).unwrap();
         // Claim far more entries than the page holds: offsets run off the end.
         env.with_page_mut(root, |p| p[1..3].copy_from_slice(&5000u16.to_le_bytes())).unwrap();
@@ -1645,10 +1258,7 @@ mod tests {
     #[test]
     fn anchored_seeks_match_fresh_seeks() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..3000u32 {
-            t.insert(&env, &key((i * 7919) % 3000), &key(i)).unwrap();
-        }
+        let t = load(&env, 0, 0..3000u32, |i| key((i * 7919) % 3000));
         let mut anchor = BTreeCursor::new();
         // Mixed probe order: monotone runs, backsteps, jumps, misses.
         let probes: Vec<u32> = (0..200u32)
@@ -1669,10 +1279,7 @@ mod tests {
     #[test]
     fn anchored_probe_in_pinned_leaf_reads_one_page() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..5000u32 {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, 0..5000u32, |_| Vec::new());
         let mut anchor = BTreeCursor::new();
         // First probe pins the path (full descent).
         t.seek_ge_anchored(&env, &mut anchor, &key(2500)).unwrap();
@@ -1689,10 +1296,7 @@ mod tests {
     #[test]
     fn anchored_gallop_crosses_leaves_without_full_descent() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..5000u32 {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, 0..5000u32, |_| Vec::new());
         let mut anchor = BTreeCursor::new();
         let mut fresh_reads = 0u64;
         let mut anchored_reads = 0u64;
@@ -1713,24 +1317,34 @@ mod tests {
     }
 
     #[test]
-    fn anchored_cursor_invalidates_on_mutation() {
-        let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in (0..500u32).map(|i| i * 2) {
-            t.insert(&env, &key(i), b"old").unwrap();
-        }
+    fn anchored_cursor_revalidates_after_any_write() {
+        let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
+        let t = load(&env, 0, (0..500u32).map(|i| i * 2), |_| b"old".to_vec());
         let mut anchor = BTreeCursor::new();
         let c = t.seek_ge_anchored(&env, &mut anchor, &key(100)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(100));
-        // Mutate: insert the odd key right where the anchor is pinned.
-        t.insert(&env, &key(101), b"new").unwrap();
+
+        // A write outside the tree bumps the data version: the pinned path
+        // is dropped and the next probe descends afresh from the root.
+        let mut w = crate::liststore::ListWriter::new(&env);
+        w.append(&env, b"unrelated").unwrap();
+        w.finish(&env).unwrap();
+        env.reset_stats();
+        let c = t.seek_ge_anchored(&env, &mut anchor, &key(101)).unwrap();
+        assert_eq!(c.read(&env).unwrap().unwrap().0, key(102));
+        assert!(
+            env.stats().logical_reads > 2 + 1,
+            "a version bump forces a full descent (meta page + path + cursor read)"
+        );
+
+        // Reloading the slot leaves the old pages intact; only the
+        // version check keeps the anchor off them.
+        let t = load(&env, 0, (0..1000u32).filter(|i| i % 2 == 0 || *i == 101), |i| {
+            if i == 101 { b"new".to_vec() } else { b"old".to_vec() }
+        });
         let c = t.seek_ge_anchored(&env, &mut anchor, &key(101)).unwrap();
         let (k, v) = c.read(&env).unwrap().unwrap();
-        assert_eq!((k, v), (key(101), b"new".to_vec()), "post-insert probe sees the insert");
-        // Deletes too.
-        t.remove(&env, &key(102)).unwrap();
-        let c = t.seek_ge_anchored(&env, &mut anchor, &key(102)).unwrap();
-        assert_eq!(c.read(&env).unwrap().unwrap().0, key(104));
+        assert_eq!((k, v), (key(101), b"new".to_vec()), "post-reload probe sees the reload");
         // Manual invalidation also forces a re-pin.
         anchor.invalidate();
         assert!(!anchor.is_pinned());
@@ -1742,10 +1356,7 @@ mod tests {
     #[test]
     fn anchored_seeks_handle_chain_hops_and_ends() {
         let env = mem_env();
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 1..=300u32 {
-            t.insert(&env, &key(i * 10), b"").unwrap();
-        }
+        let t = load(&env, 0, (1..=300u32).map(|i| i * 10), |_| Vec::new());
         let mut anchor = BTreeCursor::new();
         // Below every key: seek_le chains off the left end.
         let c = t.seek_le_anchored(&env, &mut anchor, &key(5)).unwrap();
@@ -1759,7 +1370,7 @@ mod tests {
         let c = t.seek_le_anchored(&env, &mut anchor, &key(1999)).unwrap();
         assert_eq!(c.read(&env).unwrap().unwrap().0, key(1990));
         // Empty tree: anchored seeks are exhausted, not erroneous.
-        let empty = BTree::create(&env, 1).unwrap();
+        let empty = BTree::bulk_load(&env, 1, Vec::new()).unwrap();
         let mut a2 = BTreeCursor::new();
         assert!(empty.seek_ge_anchored(&env, &mut a2, &key(1)).unwrap().read(&env).unwrap().is_none());
         assert!(empty.seek_le_anchored(&env, &mut a2, &key(1)).unwrap().read(&env).unwrap().is_none());
@@ -1768,10 +1379,7 @@ mod tests {
     #[test]
     fn cold_cache_seeks_touch_one_path() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 512 });
-        let t = BTree::create(&env, 0).unwrap();
-        for i in 0..5000u32 {
-            t.insert(&env, &key(i), b"").unwrap();
-        }
+        let t = load(&env, 0, 0..5000u32, |_| Vec::new());
         env.clear_cache().unwrap();
         env.reset_stats();
         let c = t.seek_ge(&env, &key(2500)).unwrap();

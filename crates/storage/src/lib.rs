@@ -9,9 +9,9 @@
 //! * [`env`] — [`StorageEnv`]: an LRU buffer pool with disk-access
 //!   accounting ([`IoStats`]), page allocation, named root slots, and
 //!   cache control for the hot/cold-cache experiments;
-//! * [`btree`] — a disk B+tree with doubly-linked leaves whose
-//!   [`BTree::seek_ge`]/[`BTree::seek_le`] realize the paper's right/left
-//!   match primitives;
+//! * [`btree`] — a bulk-loaded, read-only disk B+tree with doubly-linked
+//!   leaves whose [`BTree::seek_ge`]/[`BTree::seek_le`] realize the
+//!   paper's right/left match primitives;
 //! * [`liststore`] — sequential page chains for the Scan/Stack keyword-
 //!   list layout;
 //! * [`checksum`] — the CRC-32 stamped into every page's trailer and
@@ -26,9 +26,8 @@
 //!
 //! ```
 //! use xk_storage::{StorageEnv, EnvOptions, BTree};
-//! let mut env = StorageEnv::in_memory(EnvOptions::default());
-//! let tree = BTree::create(&env, 0).unwrap();
-//! tree.insert(&env, b"key", b"value").unwrap();
+//! let env = StorageEnv::in_memory(EnvOptions::default());
+//! let tree = BTree::bulk_load(&env, 0, [(b"key".to_vec(), b"value".to_vec())]).unwrap();
 //! assert_eq!(tree.get(&env, b"key").unwrap(), Some(b"value".to_vec()));
 //! ```
 

@@ -1,11 +1,11 @@
 //! Crash-simulation tests: a [`FaultPager`] injects torn writes and I/O
-//! failures under real B+tree workloads, and the dirty-flag protocol plus
+//! failures under real B+tree and list-chain workloads, and the dirty-flag protocol plus
 //! page checksums must turn every crash into a recoverable, *reported*
 //! state — never a panic, never a silently half-written index.
 
 use std::path::PathBuf;
 use xk_storage::{
-    BTree, EnvOptions, FaultConfig, FaultPager, FilePager, StorageEnv, StorageError,
+    BTree, EnvOptions, FaultConfig, FaultPager, FilePager, ListWriter, StorageEnv, StorageError,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -20,14 +20,17 @@ fn faulty_file_env(path: &std::path::Path, config: FaultConfig) -> StorageEnv {
         .unwrap()
 }
 
-/// Inserts `n` keys, returning the first error (the workload a crash
-/// interrupts).
-fn insert_workload(env: &StorageEnv, n: usize) -> xk_storage::Result<()> {
-    let tree = BTree::create(env, 0)?;
+/// Bulk-loads `n` keys and writes a list chain of `n` records, returning
+/// the first error (the workload a crash interrupts). The pool is far
+/// smaller than the data, so evictions write pages mid-workload.
+fn write_workload(env: &StorageEnv, n: usize) -> xk_storage::Result<()> {
+    let entries = (0..n).map(|i| (format!("key-{i:05}").into_bytes(), vec![i as u8; 24]));
+    BTree::bulk_load(env, 0, entries)?;
+    let mut list = ListWriter::new(env);
     for i in 0..n {
-        let key = format!("key-{i:05}");
-        tree.insert(env, key.as_bytes(), &[i as u8; 24])?;
+        list.append(env, format!("record-{i:05}").as_bytes())?;
     }
+    list.finish(env)?;
     env.flush()
 }
 
@@ -41,7 +44,7 @@ fn torn_write_mid_flush_is_rejected_on_reopen() {
             &path,
             FaultConfig { torn_write_at: Some(torn_at), seed: torn_at, ..FaultConfig::none() },
         );
-        let result = insert_workload(&env, 300);
+        let result = write_workload(&env, 300);
         assert!(result.is_err(), "torn write at op {torn_at} must surface");
         drop(env); // drop-flush also fails; must not panic
 
@@ -66,7 +69,7 @@ fn write_and_sync_failures_propagate_without_panicking() {
     ] {
         let path = dir.join(format!("{kind}.db"));
         let env = faulty_file_env(&path, config);
-        let err = insert_workload(&env, 300).unwrap_err();
+        let err = write_workload(&env, 300).unwrap_err();
         assert!(err.to_string().contains("injected"), "{kind}: {err}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -83,22 +86,18 @@ fn read_failures_surface_as_errors_never_panics() {
         FaultConfig { fail_read_at: Some(1), ..FaultConfig::none() },
     );
     let env = StorageEnv::create_with_pager(Box::new(fault), 4).unwrap();
-    if let Ok(tree) = BTree::create(&env, 0) {
-        let mut saw_error = false;
-        for i in 0..300 {
-            // Ascending inserts ride the hot rightmost spine, so they may
-            // well succeed from the pool alone; either way, no panics.
-            let key = format!("key-{i:05}");
-            saw_error |= tree.insert(&env, key.as_bytes(), &[7u8; 24]).is_err();
-        }
+    // The bulk load only ever rereads the previous leaf, so it may well
+    // succeed from the pool alone; either way, no panics.
+    let entries = (0..300).map(|i| (format!("key-{i:05}").into_bytes(), vec![7u8; 24]));
+    let saw_error = match BTree::bulk_load(&env, 0, entries) {
+        Err(_) => true,
         // Probing the *early* keys descends into long-evicted leaves,
         // which need the dead disk — these must error, not panic.
-        for i in 0..300 {
-            let key = format!("key-{i:05}");
-            saw_error |= tree.get(&env, key.as_bytes()).is_err();
-        }
-        assert!(saw_error, "a dead disk must surface read errors");
-    }
+        Ok(tree) => (0..300)
+            .map(|i| tree.get(&env, format!("key-{i:05}").as_bytes()).is_err())
+            .fold(false, |a, b| a | b),
+    };
+    assert!(saw_error, "a dead disk must surface read errors");
 }
 
 #[test]
@@ -112,7 +111,7 @@ fn identical_seeds_crash_identically() {
             FaultConfig { torn_write_at: Some(5), seed: 42, ..FaultConfig::none() },
         );
         let env = StorageEnv::create_with_pager(Box::new(fault), 16).unwrap();
-        let err = insert_workload(&env, 300).unwrap_err().to_string();
+        let err = write_workload(&env, 300).unwrap_err().to_string();
         drop(env);
         let len = std::fs::metadata(&path).unwrap().len();
         (err, len)
@@ -130,7 +129,7 @@ fn clean_shutdown_through_fault_pager_reopens_fine() {
     let path = dir.join("clean.db");
     {
         let env = faulty_file_env(&path, FaultConfig::none());
-        insert_workload(&env, 300).unwrap();
+        write_workload(&env, 300).unwrap();
     }
     let env = StorageEnv::open(&path, EnvOptions { page_size: 512, pool_pages: 16 })
         .expect("cleanly flushed file reopens");

@@ -1,13 +1,15 @@
 //! Differential property test for anchored B+tree cursors: on random key
-//! sets (both insert-built and bulk-loaded trees) and random probe
-//! sequences, `seek_ge_anchored`/`seek_le_anchored` through a reused
-//! [`BTreeCursor`] must return exactly what the stateless
-//! `seek_ge`/`seek_le` return — including across interleaved inserts,
-//! which must invalidate the pinned path rather than serve stale answers.
+//! sets and random probe sequences, `seek_ge_anchored`/`seek_le_anchored`
+//! through a reused [`BTreeCursor`] must return exactly what the
+//! stateless `seek_ge`/`seek_le` return — including across interleaved
+//! writes (a reload of the tree's slot, or a write elsewhere in the
+//! environment), which must invalidate the pinned path rather than serve
+//! stale answers.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use xk_storage::{BTree, BTreeCursor, EnvOptions, StorageEnv};
+use std::collections::BTreeSet;
+use xk_storage::{BTree, BTreeCursor, EnvOptions, ListWriter, StorageEnv};
 
 fn small_key() -> impl Strategy<Value = Vec<u8>> {
     // Short keys from a small alphabet maximize collisions, prefix pairs,
@@ -19,8 +21,12 @@ fn small_key() -> impl Strategy<Value = Vec<u8>> {
 enum Probe {
     Ge(Vec<u8>),
     Le(Vec<u8>),
-    /// Mutate the tree mid-sequence: the anchor must notice.
-    Insert(Vec<u8>),
+    /// Reload the tree's slot with one more key mid-sequence: the anchor
+    /// must notice.
+    Reload(Vec<u8>),
+    /// Write a list chain elsewhere in the environment (the tree is
+    /// unchanged, but the data version moves).
+    Unrelated,
 }
 
 fn probe() -> impl Strategy<Value = Probe> {
@@ -29,7 +35,8 @@ fn probe() -> impl Strategy<Value = Probe> {
         small_key().prop_map(Probe::Le),
         small_key().prop_map(Probe::Ge),
         small_key().prop_map(Probe::Le),
-        small_key().prop_map(Probe::Insert),
+        small_key().prop_map(Probe::Reload),
+        Just(Probe::Unrelated),
     ]
 }
 
@@ -37,11 +44,16 @@ fn mem_env() -> StorageEnv {
     StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 64 })
 }
 
+fn load(env: &StorageEnv, keys: &BTreeSet<Vec<u8>>) -> BTree {
+    BTree::bulk_load(env, 0, keys.iter().map(|k| (k.clone(), b"v".to_vec()))).unwrap()
+}
+
 fn run_differential(
     env: &StorageEnv,
-    tree: &BTree,
+    mut keys: BTreeSet<Vec<u8>>,
     probes: Vec<Probe>,
 ) -> std::result::Result<(), TestCaseError> {
+    let mut tree = load(env, &keys);
     let mut anchor = BTreeCursor::new();
     for p in probes {
         match p {
@@ -57,8 +69,14 @@ fn run_differential(
                     tree.seek_le_anchored(env, &mut anchor, &k).unwrap().read(env).unwrap();
                 prop_assert_eq!(fresh, anchored, "seek_le({:?})", k);
             }
-            Probe::Insert(k) => {
-                tree.insert(env, &k, b"mid-sequence").unwrap();
+            Probe::Reload(k) => {
+                keys.insert(k);
+                tree = load(env, &keys);
+            }
+            Probe::Unrelated => {
+                let mut w = ListWriter::new(env);
+                w.append(env, b"mid-sequence").unwrap();
+                w.finish(env).unwrap();
             }
         }
     }
@@ -69,28 +87,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn anchored_equals_fresh_on_insert_built_trees(
-        keys in proptest::collection::vec(small_key(), 0..120),
-        probes in proptest::collection::vec(probe(), 1..150),
-    ) {
-        let env = mem_env();
-        let tree = BTree::create(&env, 0).unwrap();
-        for k in &keys {
-            tree.insert(&env, k, b"v").unwrap();
-        }
-        run_differential(&env, &tree, probes)?;
-    }
-
-    #[test]
     fn anchored_equals_fresh_on_bulk_loaded_trees(
         keys in proptest::collection::btree_set(small_key(), 0..120),
         probes in proptest::collection::vec(probe(), 1..150),
     ) {
         let env = mem_env();
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            keys.into_iter().map(|k| (k, b"v".to_vec())).collect();
-        let tree = BTree::bulk_load(&env, 0, entries).unwrap();
-        run_differential(&env, &tree, probes)?;
+        run_differential(&env, keys, probes)?;
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Property tests: the disk B+tree must behave exactly like
-//! `std::collections::BTreeMap` under arbitrary interleavings of inserts,
-//! deletes, point gets, and left/right-match seeks, and must keep its
-//! structural invariants at every step.
+//! Property tests: a bulk-loaded disk B+tree must answer exactly like
+//! `std::collections::BTreeMap` over the same entries — arbitrary point
+//! gets, left/right-match seeks, and full scans — and must keep its
+//! structural invariants and leaf links intact at every size.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -9,8 +9,6 @@ use xk_storage::{BTree, EnvOptions, StorageEnv};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(Vec<u8>, Vec<u8>),
-    Remove(Vec<u8>),
     Get(Vec<u8>),
     SeekGe(Vec<u8>),
     SeekLe(Vec<u8>),
@@ -24,9 +22,6 @@ fn small_key() -> impl Strategy<Value = Vec<u8>> {
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (small_key(), proptest::collection::vec(any::<u8>(), 0..12))
-            .prop_map(|(k, v)| Op::Insert(k, v)),
-        small_key().prop_map(Op::Remove),
         small_key().prop_map(Op::Get),
         small_key().prop_map(Op::SeekGe),
         small_key().prop_map(Op::SeekLe),
@@ -37,21 +32,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn btree_matches_std_btreemap(ops in proptest::collection::vec(op(), 1..300)) {
+    fn btree_matches_std_btreemap(
+        entries in proptest::collection::vec(
+            (small_key(), proptest::collection::vec(any::<u8>(), 0..12)), 0..300),
+        ops in proptest::collection::vec(op(), 1..300),
+    ) {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 32 });
-        let tree = BTree::create(&env, 0).unwrap();
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let model: BTreeMap<Vec<u8>, Vec<u8>> = entries.into_iter().collect();
+        let tree = BTree::bulk_load(&env, 0, model.clone()).unwrap();
 
         for op in &ops {
             match op {
-                Op::Insert(k, v) => {
-                    let old = tree.insert(&env, k, v).unwrap();
-                    prop_assert_eq!(old, model.insert(k.clone(), v.clone()));
-                }
-                Op::Remove(k) => {
-                    let old = tree.remove(&env, k).unwrap();
-                    prop_assert_eq!(old, model.remove(k));
-                }
                 Op::Get(k) => {
                     prop_assert_eq!(tree.get(&env, k).unwrap(), model.get(k).cloned());
                 }
@@ -83,20 +74,17 @@ proptest! {
     }
 
     #[test]
-    fn btree_bulk_then_drain(keys in proptest::collection::btree_set(
+    fn btree_bulk_load_keeps_every_key(keys in proptest::collection::btree_set(
         proptest::collection::vec(any::<u8>(), 0..10), 1..400))
     {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 256, pool_pages: 16 });
-        let tree = BTree::create(&env, 0).unwrap();
-        for k in &keys {
-            tree.insert(&env, k, b"v").unwrap();
-        }
+        let tree =
+            BTree::bulk_load(&env, 0, keys.iter().map(|k| (k.clone(), b"v".to_vec()))).unwrap();
         tree.check_invariants(&env).unwrap();
+        tree.verify_leaf_links(&env).unwrap();
         prop_assert_eq!(tree.len(&env).unwrap(), keys.len() as u64);
         for k in &keys {
-            prop_assert_eq!(tree.remove(&env, k).unwrap(), Some(b"v".to_vec()));
+            prop_assert_eq!(tree.get(&env, k).unwrap(), Some(b"v".to_vec()));
         }
-        prop_assert!(tree.is_empty(&env).unwrap());
-        tree.check_invariants(&env).unwrap();
     }
 }

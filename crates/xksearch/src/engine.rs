@@ -27,6 +27,11 @@
 //! WAL inside every append, while [`CommitMode::GroupCommit`] (the
 //! default) lets a background committer thread batch the fsyncs of all
 //! appends that land within one flush interval into a single sync.
+//!
+//! Every append writes its postings to the segment store: a journaled
+//! mem segment that seals into packed blobs past a posting threshold.
+//! The posting B+trees of an [`Engine::build`] database are read-only
+//! after the build; queries chain them with the store's segments.
 
 use crate::error::{EngineError, Result};
 use std::collections::BTreeMap;
@@ -195,6 +200,41 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Mem-segment postings that trigger a seal into a packed blob.
 pub const DEFAULT_SEAL_THRESHOLD: u64 = 4096;
 
+/// The store of an index with no sealed segments and no journal.
+const EMPTY_STORE: SegExt = SegExt { journal: None, manifest: None, next_seq: 1 };
+
+/// The blob store of an engine wrapped around a bare environment
+/// ([`Engine::from_env`]): it holds no blobs and refuses to create one.
+struct NoBlobStore;
+
+impl NoBlobStore {
+    fn refuse() -> SegmentError {
+        SegmentError::Corrupt("the engine has no blob store for sealed segments".into())
+    }
+}
+
+impl SegmentIo for NoBlobStore {
+    fn block_size(&self) -> usize {
+        0 // no blob is ever written
+    }
+    fn create(&self, _seq: u64) -> std::result::Result<Box<dyn Pager>, SegmentError> {
+        Err(Self::refuse())
+    }
+    fn finalize(&self, _seq: u64, _pager: Box<dyn Pager>) -> std::result::Result<(), SegmentError> {
+        Err(Self::refuse())
+    }
+    fn discard_temp(&self, _seq: u64) {}
+    fn open(&self, _seq: u64) -> std::result::Result<Arc<dyn Pager>, SegmentError> {
+        Err(Self::refuse())
+    }
+    fn delete(&self, _seq: u64) -> std::result::Result<(), SegmentError> {
+        Ok(())
+    }
+    fn list(&self) -> std::result::Result<Vec<u64>, SegmentError> {
+        Ok(Vec::new())
+    }
+}
+
 /// The blob directory of a segmented database: `<db_path>.segments`
 /// (`school.db` → `school.db.segments/seg-*.xkseg`).
 pub fn default_segments_dir(db_path: &Path) -> PathBuf {
@@ -214,8 +254,9 @@ struct SegSnapshot {
     mem: MemView,
 }
 
-/// The engine's segment store (present when the index's extension bytes
-/// carry a [`SegExt`] region).
+/// The engine's segment store — the only posting writer. An index whose
+/// extension bytes carry no [`SegExt`] region (a fresh [`Engine::build`])
+/// starts with an empty store that writes nothing until its first append.
 struct SegState {
     io: Arc<dyn SegmentIo>,
     /// Durable pointers (journal/manifest chains, next sequence number).
@@ -287,9 +328,9 @@ impl Drop for MergerCtl {
 
 /// Spawns a background thread that folds small adjacent segments
 /// together ([`Engine::compact_segments`]) whenever the tiered policy
-/// finds an eligible run, checking every `interval`. A no-op thread for
-/// engines without a segment store. Merge failures stop the thread (the
-/// store stays fully queryable; compaction is an optimization).
+/// finds an eligible run, checking every `interval`. Merge failures stop
+/// the thread (the store stays fully queryable; compaction is an
+/// optimization).
 pub fn spawn_merger(engine: Arc<Engine>, interval: Duration) -> Result<MergerCtl> {
     let stop = Arc::new(AtomicBool::new(false));
     let thread_stop = Arc::clone(&stop);
@@ -338,10 +379,9 @@ pub struct Engine {
     /// never go stale (see `xk_server::QueryCache`).
     version: AtomicU64,
     durability: Option<DurabilityCtl>,
-    /// Present when the index's extension region carries a [`SegExt`]:
-    /// postings then live in packed segment blobs plus a journaled mem
-    /// segment instead of B+tree posting trees.
-    segments: Option<SegState>,
+    /// Where appended postings go (and, for a segmented build, all of
+    /// them): packed segment blobs plus a journaled mem segment.
+    segments: SegState,
 }
 
 impl Engine {
@@ -368,8 +408,9 @@ impl Engine {
         let _ = std::fs::remove_file(&tmp);
         let built = (|| -> Result<()> {
             let env = StorageEnv::create(&tmp, options.clone())?;
-            // Default build options leave level-table headroom so the
-            // index accepts incremental appends ([`Engine::append_subtree`]).
+            // Default build options, level-table headroom included, so
+            // the built bytes (and every operation count measured on
+            // them) stay fixed; appends do not depend on the headroom.
             build_disk_index_with(
                 &env,
                 tree,
@@ -396,7 +437,8 @@ impl Engine {
     pub fn build_in_memory(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
         let env = StorageEnv::in_memory(options);
         build_disk_index_with(&env, tree, &xk_index::BuildOptions::default())?;
-        Self::from_env(env)
+        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
+        Self::from_parts(env, None, io)
     }
 
     /// [`Engine::build`] with the **segment layout**: postings go into
@@ -464,7 +506,7 @@ impl Engine {
         let env = StorageEnv::in_memory(options);
         let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
         Self::build_segment_store(&env, tree, io.as_ref(), true)?;
-        Self::from_parts(env, None, Some(io))
+        Self::from_parts(env, None, io)
     }
 
     /// Seeds a caller-supplied environment/blob store with the segmented
@@ -498,7 +540,7 @@ impl Engine {
         let lists: BTreeMap<String, Vec<Dewey>> =
             xk_index::MemIndex::build(tree).into_sorted_lists().into_iter().collect();
         let ext = if lists.is_empty() {
-            SegExt { journal: None, manifest: None, next_seq: 1 }
+            EMPTY_STORE
         } else {
             let header = seal_blob(io, 1, env.current_epoch(), &lists)?;
             let manifest = write_manifest(env, &[SealedMeta::of(&header)])?;
@@ -517,13 +559,13 @@ impl Engine {
         let db_path = db_path.as_ref();
         let env = StorageEnv::open(db_path, options)?;
         let io = Self::dir_io(db_path, env.physical_page_size());
-        Self::from_parts(env, None, Some(io))
+        Self::from_parts(env, None, io)
     }
 
-    /// The default blob store next to `db_path` (only consulted when the
-    /// index actually references a segment store). Blob blocks use the
-    /// database page size, so one buffer-pool-sized read budget covers
-    /// both layouts in the experiments.
+    /// The default blob store next to `db_path` (the directory appears at
+    /// the first seal). Blob blocks use the database page size, so one
+    /// buffer-pool-sized read budget covers both layouts in the
+    /// experiments.
     fn dir_io(db_path: &Path, block_size: usize) -> Arc<dyn SegmentIo> {
         Arc::new(DirSegmentIo::new(default_segments_dir(db_path), block_size))
     }
@@ -555,43 +597,32 @@ impl Engine {
         let wal = Wal::open_or_reinit(wal_pager, env.physical_page_size() as u32)?;
         env.attach_wal(wal)?;
         let io = Self::dir_io(db_path, env.physical_page_size());
-        let engine = Self::from_parts(env, Some(durability), Some(io))?;
-        Ok((engine, report))
-    }
-
-    /// [`Engine::open_durable`] over caller-supplied pagers (crash and
-    /// fault-injection tests drive this with [`xk_storage::FaultPager`]
-    /// or shared [`xk_storage::MemPager`]s).
-    pub fn open_durable_with_pagers(
-        db: Arc<dyn Pager>,
-        wal: Arc<dyn Pager>,
-        pool_pages: usize,
-        durability: DurabilityOptions,
-    ) -> Result<(Engine, RecoveryReport)> {
-        let report = xk_storage::recover(&*db, &*wal)?;
-        let mut env = StorageEnv::open_with_pager(Box::new(db), pool_pages)?;
-        let attached = Wal::open_or_reinit(wal, env.physical_page_size() as u32)?;
-        env.attach_wal(attached)?;
-        let engine = Self::from_parts(env, Some(durability), None)?;
+        let engine = Self::from_parts(env, Some(durability), io)?;
         Ok((engine, report))
     }
 
     /// Wraps an already-constructed storage environment (tests and tools
     /// that build their index over a custom [`Pager`], e.g. a fault
-    /// injector). The environment must already hold a built index.
+    /// injector). The environment must already hold a built index that
+    /// references no sealed segments. The engine has no blob store:
+    /// appends journal into the environment, but the first seal fails
+    /// and aborts its append rather than write a blob the next open
+    /// could not find. [`Engine::from_env_with_io`] supplies one.
     pub fn from_env(env: StorageEnv) -> Result<Engine> {
-        Self::from_parts(env, None, None)
+        Self::from_parts(env, None, Arc::new(NoBlobStore))
     }
 
-    /// [`Engine::from_env`] for a **segmented** environment: `io` is the
-    /// blob store the index's segment manifest refers to.
+    /// [`Engine::from_env`] with `io` as the blob store the index's
+    /// segment manifest refers to and seals write into.
     pub fn from_env_with_io(env: StorageEnv, io: Arc<dyn SegmentIo>) -> Result<Engine> {
-        Self::from_parts(env, None, Some(io))
+        Self::from_parts(env, None, io)
     }
 
-    /// [`Engine::open_durable_with_pagers`] for a segmented database:
-    /// `io` supplies the segment blobs (fault-injection tests drive this
-    /// with [`xk_segment::FaultSegmentIo`]).
+    /// [`Engine::open_durable`] over caller-supplied pagers and blob
+    /// store (crash and fault-injection tests drive this with
+    /// [`xk_storage::FaultPager`]s or shared [`xk_storage::MemPager`]s,
+    /// plus a shared [`MemSegmentIo`] or an
+    /// [`xk_segment::FaultSegmentIo`]).
     pub fn open_durable_with_pagers_and_io(
         db: Arc<dyn Pager>,
         wal: Arc<dyn Pager>,
@@ -603,28 +634,22 @@ impl Engine {
         let mut env = StorageEnv::open_with_pager(Box::new(db), pool_pages)?;
         let attached = Wal::open_or_reinit(wal, env.physical_page_size() as u32)?;
         env.attach_wal(attached)?;
-        let engine = Self::from_parts(env, Some(durability), Some(io))?;
+        let engine = Self::from_parts(env, Some(durability), io)?;
         Ok((engine, report))
     }
 
-    /// Opens the segment store described by the index's extension bytes:
-    /// reads the manifest, opens every sealed blob against its fence,
-    /// deletes orphan blobs (finalized but never committed — the crash
-    /// window between rename and commit record), and replays the posting
-    /// journal into the mem segment.
+    /// Opens the segment store described by the index's extension bytes
+    /// (an empty store when there are none): reads the manifest, opens
+    /// every sealed blob against its fence, deletes orphan blobs
+    /// (finalized but never committed — the crash window between rename
+    /// and commit record), and replays the posting journal into the mem
+    /// segment.
     fn open_segments(
         env: &StorageEnv,
         index: &DiskIndex,
-        io: Option<Arc<dyn SegmentIo>>,
-    ) -> Result<Option<SegState>> {
-        let Some(ext) = SegExt::decode(index.extension())? else {
-            return Ok(None);
-        };
-        let io = io.ok_or_else(|| {
-            EngineError::Segment(SegmentError::Corrupt(
-                "the index references a segment store but no blob directory was supplied".into(),
-            ))
-        })?;
+        io: Arc<dyn SegmentIo>,
+    ) -> Result<SegState> {
+        let ext = SegExt::decode(index.extension())?.unwrap_or(EMPTY_STORE);
         let metas = match &ext.manifest {
             Some(h) => read_manifest(env, h)?,
             None => Vec::new(),
@@ -646,19 +671,19 @@ impl Engine {
             None => MemSegment::new(),
         };
         let snapshot = Arc::new(SegSnapshot { metas, sealed, mem: MemView::of(&mem) });
-        Ok(Some(SegState {
+        Ok(SegState {
             io,
             ext: Mutex::new(ext),
             mem: Mutex::new(mem),
             snapshot: RwLock::new(snapshot),
             seal_threshold: AtomicU64::new(DEFAULT_SEAL_THRESHOLD),
-        }))
+        })
     }
 
     fn from_parts(
         env: StorageEnv,
         durability: Option<DurabilityOptions>,
-        io: Option<Arc<dyn SegmentIo>>,
+        io: Arc<dyn SegmentIo>,
     ) -> Result<Engine> {
         let index = DiskIndex::open(&env)?;
         let segments = Self::open_segments(&env, &index, io)?;
@@ -761,9 +786,9 @@ impl Engine {
         let Some(k) = normalize_keyword(keyword) else { return Ok(None) };
         let qenv = self.env.fork();
         let (index, pin) = self.read_view();
-        let seg = self.segments.as_ref().map(|s| s.snapshot());
+        let seg = self.segments.snapshot();
         let slot = ErrorSlot::new();
-        let Some(mut stream) = stream_chain(&index, &qenv, seg.as_deref(), &k, &slot) else {
+        let Some(mut stream) = stream_chain(&index, &qenv, &seg, &k, &slot) else {
             return Ok(None);
         };
         drop(index);
@@ -792,9 +817,9 @@ impl Engine {
         let Some(k) = normalize_keyword(keyword) else { return Ok(None) };
         let qenv = self.env.fork();
         let (index, pin) = self.read_view();
-        let seg = self.segments.as_ref().map(|s| s.snapshot());
+        let seg = self.segments.snapshot();
         let slot = ErrorSlot::new();
-        let Some(mut ranked) = ranked_chain(&index, &qenv, seg.as_deref(), &k, &slot) else {
+        let Some(mut ranked) = ranked_chain(&index, &qenv, &seg, &k, &slot) else {
             return Ok(None);
         };
         drop(index);
@@ -830,8 +855,8 @@ impl Engine {
         // Cloned under the index guard, so the segment snapshot and the
         // index describe the same committed epoch (both are swapped
         // inside one index write-lock section).
-        let seg = self.segments.as_ref().map(|s| s.snapshot());
-        let Some((ordered, frequencies)) = prepare(&index, seg.as_deref(), keywords)? else {
+        let seg = self.segments.snapshot();
+        let Some((ordered, frequencies)) = prepare(&index, &seg, keywords)? else {
             return Ok(QueryOutcome {
                 slcas: Vec::new(),
                 algorithm: resolve(algorithm, &[]),
@@ -863,21 +888,20 @@ impl Engine {
         // a separate scanning code path. Segment parts answer the same
         // probes from the skip table plus at most one decoded block.
         let slot = ErrorSlot::new();
-        let sg = seg.as_deref();
         let mut s1_stream: Option<Box<dyn StreamList>> = None;
         let mut ranked: Vec<Box<dyn RankedList>> = Vec::new();
         let mut streams: Vec<Box<dyn StreamList>> = Vec::new();
         match algorithm {
             Algorithm::IndexedLookupEager | Algorithm::ScanEager => {
                 s1_stream = Some(
-                    stream_chain(&index, &qenv, sg, &ordered[0], &slot)
+                    stream_chain(&index, &qenv, &seg, &ordered[0], &slot)
                         // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in some source")
                         .expect("keyword verified present"),
                 );
                 ranked = ordered[1..]
                     .iter()
                     .map(|k| {
-                        ranked_chain(&index, &qenv, sg, k, &slot)
+                        ranked_chain(&index, &qenv, &seg, k, &slot)
                             // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in some source")
                             .expect("keyword verified present")
                     })
@@ -887,7 +911,7 @@ impl Engine {
                 streams = ordered
                     .iter()
                     .map(|k| {
-                        stream_chain(&index, &qenv, sg, k, &slot)
+                        stream_chain(&index, &qenv, &seg, k, &slot)
                             // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in some source")
                             .expect("keyword verified present")
                     })
@@ -950,9 +974,8 @@ impl Engine {
         let io_before = qenv.with(|e| e.stats());
         let (index, pin) = self.read_view();
         let epoch = pin.epoch();
-        let seg = self.segments.as_ref().map(|s| s.snapshot());
-        let sg = seg.as_deref();
-        let Some((ordered, _)) = prepare(&index, sg, keywords)? else {
+        let seg = self.segments.snapshot();
+        let Some((ordered, _)) = prepare(&index, &seg, keywords)? else {
             return Ok(LcaOutcome {
                 lcas: Vec::new(),
                 keywords: keywords.iter().map(|s| s.to_string()).collect(),
@@ -963,13 +986,13 @@ impl Engine {
             });
         };
         let slot = ErrorSlot::new();
-        let mut s1 = stream_chain(&index, &qenv, sg, &ordered[0], &slot)
+        let mut s1 = stream_chain(&index, &qenv, &seg, &ordered[0], &slot)
             // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in some source")
             .expect("keyword verified present");
         let mut owned: Vec<Box<dyn RankedList>> = ordered
             .iter()
             .map(|k| {
-                ranked_chain(&index, &qenv, sg, k, &slot)
+                ranked_chain(&index, &qenv, &seg, k, &slot)
                     // xk-analyze: allow(panic_path, reason = "prepare() verified every keyword has postings in some source")
                     .expect("keyword verified present")
             })
@@ -1071,16 +1094,18 @@ impl Engine {
     /// append never started. Queries running concurrently read their
     /// pinned snapshot and are never blocked or torn by the append.
     ///
+    /// The new postings go to the segment store (see
+    /// [`Engine::set_seal_threshold`]), never into the build-time
+    /// posting B+trees, so the fragment's ordinals and depth are not
+    /// limited by the index's level table.
+    ///
     /// Constraints:
     ///
     /// * `parent` must be an element on the document's **rightmost
     ///   root-to-leaf path**, so every new node follows every indexed
-    ///   node in document order (keyword lists stay sorted and can be
-    ///   extended in place);
-    /// * the index must embed its document (`store_document = true`);
-    /// * the index must have been built with level-table headroom
-    ///   ([`xk_index::BuildOptions`]) wide enough for the new ordinals —
-    ///   otherwise a codec error is returned and nothing changes.
+    ///   node in document order (each keyword's postings stay a sorted
+    ///   chain of disk part, sealed segments and mem segment);
+    /// * the index must embed its document (`store_document = true`).
     ///
     /// On a durable engine the call returns once the commit record is
     /// fsynced (inline under [`CommitMode::SyncEachCommit`], at the next
@@ -1143,19 +1168,12 @@ impl Engine {
         // up aborting, it is deleted below rather than lingering as an
         // orphan until the next open.
         let mut orphan: Option<u64> = None;
-        let applied = (|| -> Result<(Vec<String>, Option<SegUpdate>)> {
-            let (touched, seg_update) = match self.segments.as_ref() {
-                Some(seg) => {
-                    let (touched, update) =
-                        self.seg_apply(seg, &mut scratch, &added, &mut orphan)?;
-                    (touched, Some(update))
-                }
-                None => (self.env.with(|e| scratch.append_nodes(e, &added))?, None),
-            };
+        let applied = (|| -> Result<(Vec<String>, SegUpdate)> {
+            let update = self.seg_apply(&mut scratch, &added, &mut orphan)?;
             // Keep the embedded document in sync for rendering and
             // reopening.
             self.env.with(|e| scratch.store_document(e, doc))?;
-            Ok((touched, seg_update))
+            Ok(update)
         })();
         let abort = |doc_slot: &mut Option<XmlTree>| -> Result<()> {
             // Roll back: the undo log restores every touched page,
@@ -1167,9 +1185,9 @@ impl Engine {
             // open retries orphan cleanup).
             *doc_slot = None;
             self.env.with(|env| env.abort_txn())?;
-            if let (Some(seg), Some(seq)) = (self.segments.as_ref(), orphan) {
+            if let Some(seq) = orphan {
                 // xk-analyze: allow(swallowed_result, reason = "orphan blob cleanup is best-effort; the next open retries it")
-                let _ = seg.io.delete(seq);
+                let _ = self.segments.io.delete(seq);
             }
             Ok(())
         };
@@ -1197,15 +1215,14 @@ impl Engine {
             let mut w = self.index.write().unwrap_or_else(|e| e.into_inner());
             *w = scratch;
             self.index_epoch.store(commit.epoch, Ordering::Release);
-            if let (Some(seg), Some(update)) = (self.segments.as_ref(), seg_update) {
-                // Published inside the index write-lock section so a
-                // reader's (index guard, segment snapshot) pair is always
-                // epoch-consistent.
-                // xk-analyze: allow(lock_order, reason = "intentional nesting: index write lock then segment ext/mem/snapshot locks; readers nest index read then snapshot read — same order, no inversion")
-                *lock(&seg.ext) = update.ext;
-                *lock(&seg.mem) = update.mem;
-                *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = update.snapshot;
-            }
+            // Published inside the index write-lock section so a
+            // reader's (index guard, segment snapshot) pair is always
+            // epoch-consistent.
+            let seg = &self.segments;
+            // xk-analyze: allow(lock_order, reason = "intentional nesting: index write lock then segment ext/mem/snapshot locks; readers nest index read then snapshot read — same order, no inversion")
+            *lock(&seg.ext) = seg_update.ext;
+            *lock(&seg.mem) = seg_update.mem;
+            *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = seg_update.snapshot;
         }
         self.version.fetch_add(1, Ordering::Release);
         drop(doc_slot);
@@ -1213,21 +1230,26 @@ impl Engine {
 
         // Durability wait, outside the append lock: appends that commit
         // while we wait share the next fsync (group commit).
+        self.await_durable(commit.lsn)?;
+        Ok(AppendOutcome { root, epoch: commit.epoch, touched })
+    }
+
+    /// Returns once the commit at `lsn` is durable: an inline WAL fsync
+    /// under [`CommitMode::SyncEachCommit`], the next group-commit flush
+    /// otherwise, at once on an engine without a WAL.
+    fn await_durable(&self, lsn: u64) -> Result<()> {
         match self.durability.as_ref().map(|d| d.mode) {
             Some(CommitMode::SyncEachCommit) => {
                 self.env.with(|e| e.sync_wal())?;
             }
-            Some(CommitMode::GroupCommit) => {
-                self.env.with(|e| e.wait_wal_durable(commit.lsn))?;
-            }
+            Some(CommitMode::GroupCommit) => self.env.with(|e| e.wait_wal_durable(lsn))?,
             None => {}
         }
-        Ok(AppendOutcome { root, epoch: commit.epoch, touched })
+        Ok(())
     }
 
-    /// Applies one append batch to the segment store (instead of the
-    /// B+tree posting trees). The postings are absorbed into a copy of
-    /// the mem segment and journaled; past the seal threshold the grown
+    /// Applies one append batch to the segment store. The postings are
+    /// absorbed into a copy of the mem segment and journaled; past the seal threshold the grown
     /// mem segment is instead sealed into the next packed blob and the
     /// manifest rewritten. All storage writes run inside the caller's
     /// open transaction; the blob itself is fully written, fsynced, and
@@ -1240,11 +1262,11 @@ impl Engine {
     /// state to publish once the commit record makes the append real.
     fn seg_apply(
         &self,
-        seg: &SegState,
         scratch: &mut DiskIndex,
         added: &[(Dewey, Vec<String>)],
         orphan: &mut Option<u64>,
     ) -> Result<(Vec<String>, SegUpdate)> {
+        let seg = &self.segments;
         let ext0 = *lock(&seg.ext);
         let snap0 = seg.snapshot();
         let mut mem = lock(&seg.mem).clone();
@@ -1325,16 +1347,13 @@ impl Engine {
 
     /// Folds the earliest eligible run of small adjacent segments into
     /// one (size-tiered policy, [`xk_segment::plan_merge`]). Returns
-    /// `Ok(None)` when no run qualifies or the engine has no segment
-    /// store. Serialized with appends via the append lock; queries are
+    /// `Ok(None)` when no run qualifies. Serialized with appends via the append lock; queries are
     /// never blocked (they keep reading the pre-merge snapshot until the
     /// new one is published). Retired input blobs are deleted only after
     /// the merged manifest commits — live readers keep them open through
     /// their `Arc`s.
     pub fn compact_segments(&self) -> Result<Option<CompactOutcome>> {
-        let Some(seg) = self.segments.as_ref() else {
-            return Ok(None);
-        };
+        let seg = &self.segments;
         let _append_guard = lock(&self.append_lock);
         let ext0 = *lock(&seg.ext);
         let snap0 = seg.snapshot();
@@ -1412,15 +1431,7 @@ impl Engine {
                 return Err(e);
             }
         };
-        match self.durability.as_ref().map(|d| d.mode) {
-            Some(CommitMode::SyncEachCommit) => {
-                self.env.with(|e| e.sync_wal())?;
-            }
-            Some(CommitMode::GroupCommit) => {
-                self.env.with(|e| e.wait_wal_durable(commit.lsn))?;
-            }
-            None => {}
-        }
+        self.await_durable(commit.lsn)?;
         Ok(Some(CompactOutcome {
             merged: run,
             seq,
@@ -1429,48 +1440,35 @@ impl Engine {
         }))
     }
 
-    /// True when this engine stores postings in packed segments.
-    pub fn segments_enabled(&self) -> bool {
-        self.segments.is_some()
-    }
-
     /// Sets the mem-segment posting count that triggers a seal
     /// (default [`DEFAULT_SEAL_THRESHOLD`]; tests and benches lower it
     /// to exercise the seal path).
     pub fn set_seal_threshold(&self, postings: u64) {
-        if let Some(seg) = self.segments.as_ref() {
-            seg.seal_threshold.store(postings, Ordering::Relaxed);
-        }
+        self.segments.seal_threshold.store(postings, Ordering::Relaxed);
     }
 
     /// The manifest records of the currently published sealed segments
-    /// (empty when the engine has no segment store).
+    /// (empty when nothing has been sealed).
     pub fn segment_metas(&self) -> Vec<SealedMeta> {
-        self.segments.as_ref().map_or_else(Vec::new, |s| s.snapshot().metas.clone())
+        self.segments.snapshot().metas.clone()
     }
 
     /// Blob blocks read (pager cache misses) across all currently open
     /// sealed segments — the bench suites' cold-read probe counter.
     pub fn segment_block_reads(&self) -> u64 {
-        self.segments
-            .as_ref()
-            .map_or(0, |s| s.snapshot().sealed.iter().map(|r| r.block_reads()).sum())
+        self.segments.snapshot().sealed.iter().map(|r| r.block_reads()).sum()
     }
 
     /// Deep-checks the segment store — manifest against blobs, every
     /// block CRC, skip-entry monotonicity, dictionary/postings
-    /// reconciliation, journal replayability. `Ok(None)` when the engine
-    /// has no segment store. Runs against the committed state under the
-    /// append lock, so a concurrent seal cannot tear the sweep.
-    pub fn verify_segments(&self) -> Result<Option<SegmentVerifyReport>> {
-        let Some(seg) = self.segments.as_ref() else {
-            return Ok(None);
-        };
+    /// reconciliation, journal replayability. Runs against the committed
+    /// state under the append lock, so a concurrent seal cannot tear the
+    /// sweep.
+    pub fn verify_segments(&self) -> Result<SegmentVerifyReport> {
         let _append_guard = lock(&self.append_lock);
+        let seg = &self.segments;
         let ext = *lock(&seg.ext);
-        let report =
-            self.env.with(|e| verify_store(e, &ext, seg.io.as_ref())).map_err(EngineError::Segment)?;
-        Ok(Some(report))
+        self.env.with(|e| verify_store(e, &ext, seg.io.as_ref())).map_err(EngineError::Segment)
     }
 
     /// Renders the answer subtree rooted at an SLCA as pretty-printed XML
@@ -1548,11 +1546,11 @@ fn seal_blob(
 }
 
 /// Normalizes, validates, and frequency-orders the query keywords
-/// against `index` plus (in segment mode) the segment snapshot. Returns
-/// `None` if any keyword occurs in no source (empty result).
+/// against `index` plus the segment snapshot. Returns `None` if any
+/// keyword occurs in no source (empty result).
 fn prepare(
     index: &DiskIndex,
-    seg: Option<&SegSnapshot>,
+    seg: &SegSnapshot,
     keywords: &[&str],
 ) -> Result<Option<(Vec<String>, Vec<u64>)>> {
     let mut normalized = Vec::with_capacity(keywords.len());
@@ -1568,11 +1566,9 @@ fn prepare(
     }
     let mut with_freq = Vec::with_capacity(normalized.len());
     for k in normalized {
-        let mut freq = index.frequency(&k);
-        if let Some(s) = seg {
-            freq += s.sealed.iter().map(|r| r.frequency(&k)).sum::<u64>();
-            freq += s.mem.frequency(&k);
-        }
+        let freq = index.frequency(&k)
+            + seg.sealed.iter().map(|r| r.frequency(&k)).sum::<u64>()
+            + seg.mem.frequency(&k);
         if freq == 0 {
             return Ok(None); // a keyword with no occurrences
         }
@@ -1592,26 +1588,24 @@ fn prepare(
 fn ranked_chain(
     index: &DiskIndex,
     qenv: &SharedEnv,
-    seg: Option<&SegSnapshot>,
+    seg: &SegSnapshot,
     keyword: &str,
     slot: &ErrorSlot,
 ) -> Option<Box<dyn RankedList>> {
     let disk = index.ranked_list(qenv.clone(), keyword).map(|l| l.anchored());
     let mut seg_parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
-    if let Some(s) = seg {
-        for r in &s.sealed {
-            // The skip table carries each keyword's minimum, so sealed
-            // parts cost no I/O to tag.
-            if let (Some(min), Some(list)) =
-                (r.min_dewey(keyword), r.ranked_list(keyword, slot.clone()))
-            {
-                seg_parts.push((min.clone(), Box::new(list)));
-            }
+    for r in &seg.sealed {
+        // The skip table carries each keyword's minimum, so sealed
+        // parts cost no I/O to tag.
+        if let (Some(min), Some(list)) =
+            (r.min_dewey(keyword), r.ranked_list(keyword, slot.clone()))
+        {
+            seg_parts.push((min.clone(), Box::new(list)));
         }
-        if let Some(l) = s.mem.list(keyword) {
-            if let Some(min) = l.first() {
-                seg_parts.push((min.clone(), Box::new(ArcList::new(Arc::clone(l)))));
-            }
+    }
+    if let Some(l) = seg.mem.list(keyword) {
+        if let Some(min) = l.first() {
+            seg_parts.push((min.clone(), Box::new(ArcList::new(Arc::clone(l)))));
         }
     }
     match (disk, seg_parts.is_empty()) {
@@ -1620,8 +1614,8 @@ fn ranked_chain(
         (disk, false) => {
             let mut parts: Vec<(Dewey, Box<dyn RankedList>)> = Vec::new();
             if let Some(mut d) = disk {
-                // Hybrid only (a B+tree index that later grew segments):
-                // one probe fetches the disk part's minimum.
+                // A B+tree index that grew segments through appends: one
+                // probe fetches the disk part's minimum.
                 if let Some(min) = d.rm(&Dewey::root()) {
                     parts.push((min, Box::new(d)));
                 }
@@ -1637,7 +1631,7 @@ fn ranked_chain(
 fn stream_chain(
     index: &DiskIndex,
     qenv: &SharedEnv,
-    seg: Option<&SegSnapshot>,
+    seg: &SegSnapshot,
     keyword: &str,
     slot: &ErrorSlot,
 ) -> Option<Box<dyn StreamList>> {
@@ -1647,18 +1641,16 @@ fn stream_chain(
             parts.push(Box::new(d));
         }
     }
-    if let Some(s) = seg {
-        for r in &s.sealed {
-            if let Some(list) = r.stream_list(keyword, slot.clone()) {
-                if !list.is_empty() {
-                    parts.push(Box::new(list));
-                }
+    for r in &seg.sealed {
+        if let Some(list) = r.stream_list(keyword, slot.clone()) {
+            if !list.is_empty() {
+                parts.push(Box::new(list));
             }
         }
-        if let Some(l) = s.mem.list(keyword) {
-            if !l.is_empty() {
-                parts.push(Box::new(ArcList::new(Arc::clone(l))));
-            }
+    }
+    if let Some(l) = seg.mem.list(keyword) {
+        if !l.is_empty() {
+            parts.push(Box::new(ArcList::new(Arc::clone(l))));
         }
     }
     match parts.len() {
@@ -1911,9 +1903,11 @@ mod tests {
         // Rendering sees the refreshed document.
         let xml = e.render_subtree(&d("4")).unwrap();
         assert!(xml.contains("CS4A"), "{xml}");
-        // Frequencies moved.
-        assert_eq!(e.index().frequency("john"), 5);
-        assert_eq!(e.index().frequency("cs4a"), 1);
+        // Frequencies moved (the B+tree part keeps the build's counts;
+        // the query sums every source).
+        let out = e.query(&["john", "cs4a"], Algorithm::Auto).unwrap();
+        assert_eq!(out.frequencies, vec![1, 5]);
+        assert_eq!(e.index().frequency("john"), 4);
     }
 
     #[test]
@@ -1948,30 +1942,32 @@ mod tests {
     }
 
     #[test]
-    fn repeated_appends_accumulate_until_headroom_runs_out() {
+    fn repeated_appends_outgrow_the_level_table() {
         let e = engine();
-        // The school root has 4 children (2 bits); the default 2 bits of
-        // headroom allow ordinals up to 15, i.e. 12 appended children.
-        for i in 0..12 {
+        // The school root has 4 children (2 bits) and the default 2 bits
+        // of headroom stop the level table at ordinal 15: appends 13..20
+        // take ordinals no B+tree key could pack.
+        for i in 0..20 {
             e.append_subtree(
                 &Dewey::root(),
                 &format!("<project><title>p{i}</title><member>John</member><member>Ben</member></project>"),
             )
             .unwrap();
         }
-        let out = e.query(&["John", "Ben"], Algorithm::IndexedLookupEager).unwrap();
-        assert_eq!(out.slcas.len(), 3 + 12);
-        // Results are still in document order.
-        let mut sorted = out.slcas.clone();
-        sorted.sort();
-        assert_eq!(out.slcas, sorted);
-
-        // The 13th append exceeds the level width, fails cleanly, and the
-        // transaction abort leaves the index exactly as committed.
-        let err = e.append_subtree(&Dewey::root(), "<overflow/>").unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
-        let again = e.query(&["John", "Ben"], Algorithm::Stack).unwrap();
-        assert_eq!(again.slcas.len(), 3 + 12, "failed append must not corrupt");
+        // One more, deeper than the table's build depth + extra levels.
+        let depth = e.index().level_table().depth();
+        let deep = "<x>".repeat(depth) + "John Ben" + &"</x>".repeat(depth);
+        let deep_root = e.append_subtree(&Dewey::root(), &deep).unwrap().root;
+        for algo in [Algorithm::IndexedLookupEager, Algorithm::ScanEager, Algorithm::Stack] {
+            let out = e.query(&["John", "Ben"], algo).unwrap();
+            assert_eq!(out.slcas.len(), 3 + 20 + 1, "{algo}");
+            assert!(out.slcas.last().unwrap().depth() > depth, "{algo}");
+            assert!(deep_root.is_ancestor_of(out.slcas.last().unwrap()), "{algo}");
+            // Results are still in document order.
+            let mut sorted = out.slcas.clone();
+            sorted.sort();
+            assert_eq!(out.slcas, sorted, "{algo}");
+        }
     }
 
     #[test]
@@ -2081,15 +2077,17 @@ mod tests {
             env.flush().unwrap();
         }
         let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
+        let io: Arc<dyn SegmentIo> = Arc::new(MemSegmentIo::new(512));
         let durability = DurabilityOptions {
             mode: CommitMode::SyncEachCommit,
             ..DurabilityOptions::default()
         };
-        let (engine, report) = Engine::open_durable_with_pagers(
+        let (engine, report) = Engine::open_durable_with_pagers_and_io(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::clone(&wal) as Arc<dyn Pager>,
             128,
             durability.clone(),
+            Arc::clone(&io),
         )
         .unwrap();
         assert!(!report.db_was_dirty);
@@ -2103,7 +2101,7 @@ mod tests {
         // the pre-append state and only the WAL carries the commit.
         std::mem::forget(engine);
         let (engine, report) =
-            Engine::open_durable_with_pagers(db, wal, 128, durability).unwrap();
+            Engine::open_durable_with_pagers_and_io(db, wal, 128, durability, io).unwrap();
         assert!(report.db_was_dirty, "crash left the write-ahead dirty flag set");
         assert_eq!(report.replayed_txns, 1, "recovery replays the committed append");
         let hit = engine.query(&["phoenix"], Algorithm::Auto).unwrap();
@@ -2122,16 +2120,18 @@ mod tests {
             env.flush().unwrap();
         }
         let wal: Arc<MemPager> = Arc::new(MemPager::new(512));
+        let io: Arc<dyn SegmentIo> = Arc::new(MemSegmentIo::new(512));
         let durability = DurabilityOptions {
             mode: CommitMode::GroupCommit,
             flush_interval: Duration::from_millis(1),
             ..DurabilityOptions::default()
         };
-        let (engine, _) = Engine::open_durable_with_pagers(
+        let (engine, _) = Engine::open_durable_with_pagers_and_io(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::clone(&wal) as Arc<dyn Pager>,
             128,
             durability.clone(),
+            Arc::clone(&io),
         )
         .unwrap();
         for i in 0..4 {
@@ -2153,7 +2153,7 @@ mod tests {
         }
         std::mem::forget(engine);
         let (engine, report) =
-            Engine::open_durable_with_pagers(db, wal, 128, durability).unwrap();
+            Engine::open_durable_with_pagers_and_io(db, wal, 128, durability, io).unwrap();
         assert_eq!(report.replayed_txns, 4, "all acknowledged appends recover");
         let hit = engine.query(&["batch"], Algorithm::Auto).unwrap();
         assert_eq!(hit.slcas.len(), 4);
@@ -2173,7 +2173,7 @@ mod tests {
     fn segmented_build_answers_like_btree() {
         let b = engine();
         let s = seg_engine();
-        assert!(s.segments_enabled() && !b.segments_enabled());
+        assert!(b.segment_metas().is_empty(), "a B+tree build seals nothing");
         assert_eq!(s.segment_metas().len(), 1, "build seals one segment");
         for algo in [
             Algorithm::Auto,
@@ -2241,13 +2241,12 @@ mod tests {
         }
         {
             let e = Engine::open(&path, opts).unwrap();
-            assert!(e.segments_enabled());
             assert_eq!(e.segment_metas().len(), 2, "build seal + threshold seal");
             for (kw, n) in [("alpha", 1), ("beta", 1), ("delta", 1), ("gamma", 1), ("john", 5)] {
                 let out = e.query(&[kw], Algorithm::Auto).unwrap();
                 assert_eq!(out.slcas.len(), n, "{kw}");
             }
-            let report = e.verify_segments().unwrap().unwrap();
+            let report = e.verify_segments().unwrap();
             assert!(report.clean(), "{:?}", report.issues);
             assert!(report.journal_postings > 0, "journaled tail was replayed");
         }
@@ -2262,7 +2261,7 @@ mod tests {
         let mem_io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
         Engine::build_segment_store(&env, &school_example(), mem_io.as_ref(), true).unwrap();
         let fault = Arc::new(FaultSegmentIo::new(mem_io));
-        let e = Engine::from_parts(env, None, Some(Arc::clone(&fault) as Arc<dyn SegmentIo>))
+        let e = Engine::from_parts(env, None, Arc::clone(&fault) as Arc<dyn SegmentIo>)
             .unwrap();
         e.set_seal_threshold(1); // every append tries to seal
         e.append_subtree(&Dewey::root(), "<p>John warm</p>").unwrap();
@@ -2278,7 +2277,7 @@ mod tests {
         assert_eq!(e.segment_metas().len(), 2, "aborted seal published nothing");
         let out = e.query(&["John"], Algorithm::Auto).unwrap();
         assert_eq!(out.slcas.len(), 4 + 1, "the failed append is invisible");
-        let report = e.verify_segments().unwrap().unwrap();
+        let report = e.verify_segments().unwrap();
         assert!(report.clean(), "{:?}", report.issues);
 
         // With the fault disarmed the engine keeps working.
@@ -2313,7 +2312,7 @@ mod tests {
             let got = e.query(&["John", "Ben"], algo).unwrap();
             assert_eq!(got.slcas, want.slcas, "{algo}");
         }
-        let report = e.verify_segments().unwrap().unwrap();
+        let report = e.verify_segments().unwrap();
         assert!(report.clean(), "{:?}", report.issues);
     }
 
@@ -2344,8 +2343,36 @@ mod tests {
             EnvOptions { page_size: 512, pool_pages: 64 },
         )
         .unwrap();
-        assert!(e.segments_enabled());
         let out = e.query(&["anything"], Algorithm::Auto).unwrap();
         assert!(out.slcas.is_empty());
+    }
+
+    #[test]
+    fn engine_without_blob_store_journals_but_never_seals() {
+        let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
+        build_disk_index_with(&env, &school_example(), &xk_index::BuildOptions::default())
+            .unwrap();
+        let e = Engine::from_env(env).unwrap();
+        // Below the threshold appends journal into the environment.
+        e.append_subtree(&Dewey::root(), "<p>John journaled</p>").unwrap();
+        assert_eq!(e.query(&["John"], Algorithm::Auto).unwrap().slcas.len(), 4 + 1);
+
+        // The first seal has nowhere to go: it fails and aborts its
+        // append, leaving the journaled state exactly as committed.
+        e.set_seal_threshold(1);
+        let epoch = e.current_epoch();
+        let err = e.append_subtree(&Dewey::root(), "<p>John sealed</p>").unwrap_err();
+        assert!(err.to_string().contains("no blob store"), "{err}");
+        assert_eq!(e.current_epoch(), epoch, "the failed seal committed nothing");
+        assert!(e.segment_metas().is_empty());
+        let out = e.query(&["John"], Algorithm::Auto).unwrap();
+        assert_eq!(out.slcas.len(), 4 + 1, "the aborted append is invisible");
+        assert_eq!(e.query(&["sealed"], Algorithm::Auto).unwrap().slcas, vec![]);
+        assert!(e.verify_segments().unwrap().clean());
+
+        // Raising the threshold again lets appends journal as before.
+        e.set_seal_threshold(DEFAULT_SEAL_THRESHOLD);
+        e.append_subtree(&Dewey::root(), "<p>John later</p>").unwrap();
+        assert_eq!(e.query(&["John"], Algorithm::Auto).unwrap().slcas.len(), 4 + 2);
     }
 }

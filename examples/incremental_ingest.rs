@@ -3,10 +3,11 @@
 //!
 //! Bibliographies grow at the tail — new papers are appended, existing
 //! entries never move. `Engine::append_subtree` exploits exactly that:
-//! every new node's Dewey id follows every indexed id, so keyword list
-//! chains are extended in place and the composite-key B+tree absorbs
-//! ordinary inserts. Queries see the new content immediately, with any
-//! of the three algorithms.
+//! every new node's Dewey id follows every indexed id, so the new
+//! postings go to a journaled segment store that each keyword's list
+//! simply continues into, while the built B+trees stay untouched.
+//! Queries see the new content immediately, with any of the three
+//! algorithms.
 //!
 //! Run with: `cargo run --example incremental_ingest`
 
@@ -76,5 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     std::fs::remove_file(&db).ok();
+    std::fs::remove_dir_all(xksearch::default_segments_dir(&db)).ok();
     Ok(())
 }

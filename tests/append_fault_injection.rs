@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 use xk_index::MemIndex;
+use xk_segment::{MemSegmentIo, SegmentIo};
 use xk_slca::brute_force_slca;
 use xk_storage::{FaultConfig, FaultPager, MemPager, Pager, StorageEnv};
 use xk_xmltree::{Dewey, XmlTree};
@@ -34,6 +35,16 @@ fn seed_db() -> Arc<MemPager> {
 
 fn sync_each() -> DurabilityOptions {
     DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() }
+}
+
+fn blob_store() -> Arc<dyn SegmentIo> {
+    Arc::new(MemSegmentIo::new(PAGE))
+}
+
+/// `keyword`'s posting count over every source, as queries see it.
+fn frequency(engine: &Engine, keyword: &str) -> u64 {
+    let out = engine.query(&[keyword], Algorithm::Auto).unwrap();
+    out.frequencies.first().copied().unwrap_or(0)
 }
 
 fn oracle(tree: &XmlTree, keywords: &[&str]) -> Vec<Dewey> {
@@ -69,21 +80,23 @@ fn assert_matches_oracle(engine: &Engine, expected_doc: &str, ctx: &str) {
     }
 }
 
-/// A one-shot read fault fired inside the append (cold buffer pool
-/// forces the B+tree walk to the pager): the append fails, the abort
-/// rolls everything back, queries still match the pre-append oracle,
-/// and the *next* append — storage healthy again — succeeds.
+/// A one-shot read fault fired inside the append (a cold buffer pool
+/// forces the journal, document and meta page reads to the pager): the
+/// append fails, the abort rolls everything back, queries still match
+/// the pre-append oracle, and the *next* append — storage healthy
+/// again — succeeds.
 #[test]
 fn aborted_append_leaves_no_trace_and_recovers() {
     let db = seed_db();
     let faulted = FaultPager::new(Box::new(Arc::clone(&db)), FaultConfig::none());
     let probe = faulted.probe();
     let wal = Arc::new(MemPager::new(PAGE));
-    let (engine, _) = Engine::open_durable_with_pagers(
+    let (engine, _) = Engine::open_durable_with_pagers_and_io(
         Arc::new(faulted) as Arc<dyn Pager>,
         Arc::clone(&wal) as Arc<dyn Pager>,
         8, // tiny pool: appends and queries must actually hit the pager
         sync_each(),
+        blob_store(),
     )
     .unwrap();
 
@@ -116,7 +129,7 @@ fn aborted_append_leaves_no_trace_and_recovers() {
             );
             // The poison fragment must be invisible everywhere: the
             // vocabulary, the query path, and the rendered document.
-            assert_eq!(engine.index().frequency("poison"), 0);
+            assert_eq!(frequency(&engine, "poison"), 0);
             assert_matches_oracle(&engine, &with_first, "after aborted append");
             assert!(
                 !engine.render_subtree(&Dewey::root()).unwrap().contains("poison"),
@@ -135,7 +148,7 @@ fn aborted_append_leaves_no_trace_and_recovers() {
         .append_subtree(&Dewey::root(), "<entry><tag>zeta</tag><body>alpha</body></entry>")
         .unwrap();
     assert!(out.touched.iter().any(|k| k == "zeta"));
-    assert!(engine.index().frequency("zeta") == 1);
+    assert_eq!(frequency(&engine, "zeta"), 1);
     let hit = engine.query(&["zeta", "alpha"], Algorithm::Stack).unwrap();
     assert_eq!(hit.slcas.len(), 1, "the post-abort append is queryable");
 }
@@ -154,12 +167,12 @@ fn marker_doc(j: usize) -> String {
 /// visible set IS a prefix (seeing `m1` without `m0` is a torn append).
 fn visible_prefix(engine: &Engine, total: usize, ctx: &str) -> usize {
     let mut j = 0;
-    while j < total && engine.index().frequency(&format!("m{j}")) > 0 {
+    while j < total && frequency(engine, &format!("m{j}")) > 0 {
         j += 1;
     }
     for i in j..total {
         assert_eq!(
-            engine.index().frequency(&format!("m{i}")),
+            frequency(engine, &format!("m{i}")),
             0,
             "{ctx}: append {i} visible without its predecessors"
         );
@@ -184,11 +197,13 @@ fn wal_write_failure_yields_a_consistent_prefix() {
             Box::new(Arc::clone(&wal_mem)),
             FaultConfig { fail_write_at: Some(k), seed: k, ..FaultConfig::none() },
         );
-        let Ok((engine, _)) = Engine::open_durable_with_pagers(
+        let io = blob_store();
+        let Ok((engine, _)) = Engine::open_durable_with_pagers_and_io(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::new(faulted) as Arc<dyn Pager>,
             128,
             sync_each(),
+            Arc::clone(&io),
         ) else {
             continue; // the fault killed the WAL attach — covered by the soak
         };
@@ -213,11 +228,12 @@ fn wal_write_failure_yields_a_consistent_prefix() {
         // (an acknowledged append survived its durability wait, so its
         // commit record is on the WAL), still oracle-exact.
         std::mem::forget(engine);
-        let (reopened, _) = Engine::open_durable_with_pagers(
+        let (reopened, _) = Engine::open_durable_with_pagers_and_io(
             db as Arc<dyn Pager>,
             wal_mem as Arc<dyn Pager>,
             128,
             sync_each(),
+            io,
         )
         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
         let j2 = visible_prefix(&reopened, APPENDS, &ctx);

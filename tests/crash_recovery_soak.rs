@@ -22,6 +22,7 @@
 use std::sync::Arc;
 use xksearch_repro::soak::{smoke, soak_seed, SoakReporter};
 use xk_index::MemIndex;
+use xk_segment::{MemSegmentIo, SegmentIo};
 use xk_slca::{brute_force_all_lcas, brute_force_slca};
 use xk_storage::{
     recover, FaultConfig, FaultPager, FaultProbe, MemPager, Pager, StorageEnv,
@@ -67,26 +68,44 @@ fn sync_each() -> DurabilityOptions {
     DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() }
 }
 
+/// `keyword`'s posting count over every source, as queries see it.
+fn frequency(engine: &Engine, keyword: &str) -> u64 {
+    let out = engine.query(&[keyword], Algorithm::Auto).unwrap();
+    out.frequencies.first().copied().unwrap_or(0)
+}
+
+/// What a killed workload leaves behind: the raw database and WAL
+/// pagers and the blob store.
+struct Crashed {
+    db: Arc<MemPager>,
+    wal: Arc<MemPager>,
+    io: Arc<dyn SegmentIo>,
+}
+
 /// Runs the append workload with `config` injected on the WAL pager,
 /// then simulates a kill (`std::mem::forget`, so no checkpoint and no
-/// clean shutdown ever runs). Returns the raw pagers, how many appends
-/// were *acknowledged* (returned `Ok` to the caller), and the fault
-/// probe for op accounting.
-fn run_workload(config: FaultConfig) -> (Arc<MemPager>, Arc<MemPager>, usize, FaultProbe) {
-    let db = seed_db();
-    let wal_mem = Arc::new(MemPager::new(PAGE));
-    let faulted = FaultPager::new(Box::new(Arc::clone(&wal_mem)), config);
+/// clean shutdown ever runs). Returns what the kill left behind, how
+/// many appends were *acknowledged* (returned `Ok` to the caller), and
+/// the fault probe for op accounting.
+fn run_workload(config: FaultConfig) -> (Crashed, usize, FaultProbe) {
+    let crashed = Crashed {
+        db: seed_db(),
+        wal: Arc::new(MemPager::new(PAGE)),
+        io: Arc::new(MemSegmentIo::new(PAGE)),
+    };
+    let faulted = FaultPager::new(Box::new(Arc::clone(&crashed.wal)), config);
     let probe = faulted.probe();
-    let (engine, report) = match Engine::open_durable_with_pagers(
-        Arc::clone(&db) as Arc<dyn Pager>,
+    let (engine, report) = match Engine::open_durable_with_pagers_and_io(
+        Arc::clone(&crashed.db) as Arc<dyn Pager>,
         Arc::new(faulted) as Arc<dyn Pager>,
         POOL,
         sync_each(),
+        Arc::clone(&crashed.io),
     ) {
         Ok(opened) => opened,
         // The crash site can land inside the open itself (writing the
         // fresh WAL header): the process "dies" before any append.
-        Err(_) => return (db, wal_mem, 0, probe),
+        Err(_) => return (crashed, 0, probe),
     };
     assert!(!report.db_was_dirty, "the seed build shut down cleanly");
     let mut acked = 0;
@@ -97,7 +116,7 @@ fn run_workload(config: FaultConfig) -> (Arc<MemPager>, Arc<MemPager>, usize, Fa
         }
     }
     std::mem::forget(engine);
-    (db, wal_mem, acked, probe)
+    (crashed, acked, probe)
 }
 
 /// FNV-1a over every page — a cheap whole-file fingerprint.
@@ -136,7 +155,8 @@ fn oracle_all_lcas(tree: &XmlTree, keywords: &[&str]) -> Vec<Dewey> {
 /// reopens the engine, determines the recovered append prefix from the
 /// per-append markers, and differentials all four algorithms against
 /// the brute-force oracle over that exact document.
-fn verify_recovered(db: Arc<MemPager>, wal: Arc<MemPager>, acked: usize, ctx: &str) {
+fn verify_recovered(crashed: Crashed, acked: usize, ctx: &str) {
+    let Crashed { db, wal, io } = crashed;
     // Replay, then replay again: the second pass re-applies the same
     // images (replay never reads what it overwrites), must find the
     // dirty flag already cleared, and must not change a single byte.
@@ -148,23 +168,24 @@ fn verify_recovered(db: Arc<MemPager>, wal: Arc<MemPager>, acked: usize, ctx: &s
     assert_eq!(second.replayed_txns, first.replayed_txns, "{ctx}: same log, same replay");
     assert_eq!(fingerprint(&*db), after_first, "{ctx}: replay is idempotent");
 
-    let (engine, _) = Engine::open_durable_with_pagers(
+    let (engine, _) = Engine::open_durable_with_pagers_and_io(
         db as Arc<dyn Pager>,
         wal as Arc<dyn Pager>,
         POOL,
         sync_each(),
+        io,
     )
     .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
 
     // The recovered state must be a strict prefix of the append
     // sequence: markers w0..w{j-1} present, w{j}.. absent.
     let mut j = 0;
-    while j < APPENDS && engine.index().frequency(&format!("w{j}")) > 0 {
+    while j < APPENDS && frequency(&engine, &format!("w{j}")) > 0 {
         j += 1;
     }
     for i in j..APPENDS {
         assert_eq!(
-            engine.index().frequency(&format!("w{i}")),
+            frequency(&engine, &format!("w{i}")),
             0,
             "{ctx}: append {i} visible without its predecessors (torn prefix)"
         );
@@ -214,10 +235,10 @@ fn stride(total: u64) -> u64 {
 
 #[test]
 fn fault_free_baseline_recovers_everything() {
-    let (db, wal, acked, probe) = run_workload(FaultConfig::none());
+    let (crashed, acked, probe) = run_workload(FaultConfig::none());
     assert_eq!(acked, APPENDS, "no faults: every append is acknowledged");
     assert!(probe.writes() > 0 && probe.syncs() > 0, "the WAL saw traffic");
-    verify_recovered(db, wal, acked, "fault-free baseline");
+    verify_recovered(crashed, acked, "fault-free baseline");
 }
 
 #[test]
@@ -226,18 +247,18 @@ fn crash_at_every_wal_write_recovers_a_consistent_prefix() {
     // Replayable: `XK_SOAK_SEED` overrides the per-site seed base.
     let base = soak_seed(0x50AC);
     let reporter = SoakReporter::new("crash_at_every_wal_write", base);
-    let (_, _, _, probe) = run_workload(FaultConfig::none());
+    let (_, _, probe) = run_workload(FaultConfig::none());
     let total = probe.writes();
     let mut sites = 0;
     let mut partial = 0;
     let mut k = 0;
     while k < total {
         let ctx = format!("torn WAL write at op {k}");
-        let (db, wal, acked, _) =
+        let (crashed, acked, _) =
             run_workload(FaultConfig::torn_write(k, base ^ k)); // per-site torn-prefix lengths
         reporter.log(format!("{ctx}: {acked}/{APPENDS} appends acked before the crash"));
         assert!(acked < APPENDS, "{ctx}: the torn write must kill the workload");
-        verify_recovered(db, wal, acked, &ctx);
+        verify_recovered(crashed, acked, &ctx);
         sites += 1;
         if acked > 0 {
             partial += 1;
@@ -253,17 +274,17 @@ fn crash_at_every_wal_write_recovers_a_consistent_prefix() {
 fn crash_at_every_wal_sync_recovers_every_acknowledged_append() {
     let base = soak_seed(0);
     let reporter = SoakReporter::new("crash_at_every_wal_sync", base);
-    let (_, _, _, probe) = run_workload(FaultConfig::none());
+    let (_, _, probe) = run_workload(FaultConfig::none());
     let total = probe.syncs();
     let mut k = 0;
     while k < total {
         let ctx = format!("failed WAL sync at op {k}");
-        let (db, wal, acked, _) = run_workload(FaultConfig::failed_sync(k, base ^ k));
+        let (crashed, acked, _) = run_workload(FaultConfig::failed_sync(k, base ^ k));
         reporter.log(format!("{ctx}: {acked}/{APPENDS} appends acked before the crash"));
         // A failed sync means the append was *not* acknowledged — but
         // its commit record may still be replayable. Both outcomes are
         // legal; verify_recovered holds `recovered >= acked` either way.
-        verify_recovered(db, wal, acked, &ctx);
+        verify_recovered(crashed, acked, &ctx);
         k += stride(total);
     }
     reporter.finish();

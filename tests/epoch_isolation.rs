@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xk_index::MemIndex;
+use xk_segment::MemSegmentIo;
 use xk_slca::{brute_force_all_lcas, brute_force_slca};
 use xk_storage::{MemPager, Pager, StorageEnv};
 use xk_xmltree::{Dewey, XmlTree};
@@ -114,11 +115,12 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
     drop(env);
 
     let wal = Arc::new(MemPager::new(PAGE));
-    let (engine, _) = Engine::open_durable_with_pagers(
+    let (engine, _) = Engine::open_durable_with_pagers_and_io(
         db as Arc<dyn Pager>,
         wal as Arc<dyn Pager>,
         POOL,
         DurabilityOptions { mode: CommitMode::SyncEachCommit, ..DurabilityOptions::default() },
+        Arc::new(MemSegmentIo::new(PAGE)),
     )
     .expect("open durable engine");
 

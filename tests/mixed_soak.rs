@@ -21,9 +21,10 @@
 //! `XK_SOAK_SMOKE=1` selects the short CI tier. On failure the harness
 //! prints the seed and the op schedule; `XK_SOAK_SEED=<seed>` replays.
 //!
-//! The soak runs twice: once over the posting-B+tree layout and once
-//! over the segment store (aggressive seal threshold, tiered merges
-//! interleaved with the racing readers), so both write paths face the
+//! The soak runs twice: once over a posting-B+tree build, whose appends
+//! journal into the segment store on top of the read-only trees, and
+//! once over a segmented build (aggressive seal threshold, tiered merges
+//! interleaved with the racing readers), so both read layouts face the
 //! same fault schedule and oracle discipline.
 
 use std::collections::HashMap;
@@ -186,23 +187,19 @@ fn recovered_prefix(engine: &Engine, attempted: usize, ctx: &str) -> usize {
     j
 }
 
-/// Opens the round's engine over the persistent pagers; segment-mode
-/// soaks also hand over the shared blob store.
+/// Opens the round's engine over the persistent pagers and blob store.
 fn open_engine(
     db: Arc<dyn Pager>,
     wal: Arc<dyn Pager>,
-    io: Option<&Arc<MemSegmentIo>>,
+    io: &Arc<MemSegmentIo>,
 ) -> xksearch::Result<(Engine, xksearch::RecoveryReport)> {
-    match io {
-        Some(io) => Engine::open_durable_with_pagers_and_io(
-            db,
-            wal,
-            POOL,
-            sync_each(),
-            Arc::clone(io) as Arc<dyn SegmentIo>,
-        ),
-        None => Engine::open_durable_with_pagers(db, wal, POOL, sync_each()),
-    }
+    Engine::open_durable_with_pagers_and_io(
+        db,
+        wal,
+        POOL,
+        sync_each(),
+        Arc::clone(io) as Arc<dyn SegmentIo>,
+    )
 }
 
 /// Full four-algorithm differential of `engine` against the oracle for
@@ -229,25 +226,22 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
     let reporter = SoakReporter::new(tag, base);
     let oracles = OracleCache::default();
 
-    // One persistent database + WAL across every round — recovery has to
-    // carry real history forward, not start from a fresh world each time.
-    // Segment soaks persist their blob store the same way.
+    // One persistent database + WAL + blob store across every round —
+    // recovery has to carry real history forward, not start from a fresh
+    // world each time.
     let db = Arc::new(MemPager::new(PAGE));
-    let io = {
+    let io = Arc::new(MemSegmentIo::new(PAGE));
+    {
         let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
         let tree = xk_xmltree::parse(SEED).unwrap();
         if segmented {
-            let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
             Engine::build_segment_store_with(&env, &tree, io.as_ref(), true).unwrap();
-            env.flush().unwrap();
-            Some(io)
         } else {
             xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default())
                 .unwrap();
-            env.flush().unwrap();
-            None
         }
-    };
+        env.flush().unwrap();
+    }
     let wal = Arc::new(MemPager::new(PAGE));
 
     // Acknowledged appends so far (durability floor) and appends ever
@@ -276,7 +270,7 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
         let engine = match open_engine(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::new(faulted) as Arc<dyn Pager>,
-            io.as_ref(),
+            &io,
         ) {
             Ok((engine, _)) => engine,
             Err(e) => {
@@ -445,7 +439,7 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
         let (engine, _) = open_engine(
             Arc::clone(&db) as Arc<dyn Pager>,
             Arc::clone(&wal) as Arc<dyn Pager>,
-            io.as_ref(),
+            &io,
         )
         .unwrap_or_else(|e| panic!("round {round}: reopen after recovery failed: {e}"));
         let j = recovered_prefix(&engine, attempted, &format!("round {round} verify"));
@@ -455,19 +449,16 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
         );
         acked_total = j;
         differential(&engine, &oracles.get(j), &format!("round {round} post-recovery"));
-        if segmented {
-            // The reopen swept orphans, so the recovered blob set must
-            // verify fully clean.
-            let report = engine
-                .verify_segments()
-                .unwrap_or_else(|e| panic!("round {round}: segment verify failed: {e}"))
-                .expect("store is segmented");
-            assert!(
-                report.clean(),
-                "round {round}: recovered segment store has issues: {:?}",
-                report.issues
-            );
-        }
+        // The reopen swept orphans, so the recovered blob set must verify
+        // fully clean.
+        let report = engine
+            .verify_segments()
+            .unwrap_or_else(|e| panic!("round {round}: segment verify failed: {e}"));
+        assert!(
+            report.clean(),
+            "round {round}: recovered segment store has issues: {:?}",
+            report.issues
+        );
         drop(engine); // clean shutdown so the next round starts checkpointed
     }
 

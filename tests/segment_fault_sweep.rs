@@ -105,8 +105,7 @@ fn assert_consistent(engine: &Engine, j: usize, ctx: &str) {
     // the verify report is real damage.
     let report = engine
         .verify_segments()
-        .unwrap_or_else(|e| panic!("{ctx}: segment verify failed: {e}"))
-        .expect("store is segmented");
+        .unwrap_or_else(|e| panic!("{ctx}: segment verify failed: {e}"));
     for issue in &report.issues {
         assert!(
             issue.contains("orphan segment blob"),
@@ -185,7 +184,7 @@ fn sweep_one(k: u64, torn: bool) -> bool {
         .unwrap_or_else(|e| panic!("{ctx}: post-fault append failed: {e}"));
     assert!(visible(&engine, "recovered"), "{ctx}: post-fault append invisible");
     while engine.compact_segments().unwrap_or_else(|e| panic!("{ctx}: post-fault merge: {e}")).is_some() {}
-    let report = engine.verify_segments().unwrap().expect("store is segmented");
+    let report = engine.verify_segments().unwrap();
     for issue in &report.issues {
         assert!(
             issue.contains("orphan segment blob"),
@@ -205,7 +204,7 @@ fn sweep_one(k: u64, torn: bool) -> bool {
     )
     .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
     assert!(visible(&reopened, "recovered"), "{ctx}: acked append lost");
-    let report = reopened.verify_segments().unwrap().expect("store is segmented");
+    let report = reopened.verify_segments().unwrap();
     assert!(report.clean(), "{ctx}: reopened verify: {:?}", report.issues);
 
     fired

@@ -148,6 +148,6 @@ fn multi_segment_store_matches_brute_force_before_and_after_merge() {
     graft(&mut mirror, NodeId::ROOT, &frag, NodeId::ROOT);
     assert_matches_oracle(&engine, &mirror, "append after compaction");
 
-    let report = engine.verify_segments().unwrap().unwrap();
+    let report = engine.verify_segments().unwrap();
     assert!(report.clean(), "segment verify issues: {:?}", report.issues);
 }
