@@ -1,7 +1,8 @@
 //! Durable write path benchmark: append throughput under
 //! `SyncEachCommit` vs `GroupCommit`, the group-commit batch size
-//! (commits per fsync), crash-recovery time over a full WAL, and read
-//! latency with and without a concurrent writer.
+//! (commits per fsync), WAL bytes written per append, crash-recovery
+//! time over a full WAL, and read latency with and without a concurrent
+//! writer.
 //!
 //! Emits `results/BENCH_writepath.json` through the shared
 //! `xk_bench::trial` envelope and prints a human summary to stderr.
@@ -95,6 +96,9 @@ struct AppendPoint {
     elapsed: Duration,
     wal_commits: u64,
     wal_syncs: u64,
+    /// Length of the WAL file after the appends, before the engine drops
+    /// (dropping checkpoints the WAL away).
+    wal_bytes: u64,
 }
 
 /// `writers` threads share `cfg.appends` appends through one engine;
@@ -126,14 +130,16 @@ fn bench_appends(seed: &Path, cfg: &Config, mode: CommitMode, writers: usize) ->
         elapsed,
         wal_commits: engine.with_env(|e| e.wal_commit_count()),
         wal_syncs: engine.with_env(|e| e.wal_sync_count()),
+        wal_bytes: std::fs::metadata(xksearch::default_wal_path(&db)).expect("WAL file").len(),
     };
     eprintln!(
-        "[writepath] {:>16} x{writers}: {:>8.1} appends/s ({} commits / {} fsyncs = {:.1} per fsync)",
+        "[writepath] {:>16} x{writers}: {:>8.1} appends/s ({} commits / {} fsyncs = {:.1} per fsync, {} WAL B/append)",
         point.mode,
         point.appends as f64 / elapsed.as_secs_f64(),
         point.wal_commits,
         point.wal_syncs,
         point.wal_commits as f64 / point.wal_syncs.max(1) as f64,
+        point.wal_bytes / point.appends.max(1) as u64,
     );
     point
 }
@@ -287,7 +293,8 @@ fn main() {
             .metric("appends_per_sec", p.appends as f64 / p.elapsed.as_secs_f64())
             .metric("wal_commits", p.wal_commits as f64)
             .metric("wal_syncs", p.wal_syncs as f64)
-            .metric("commits_per_fsync", p.wal_commits as f64 / p.wal_syncs.max(1) as f64);
+            .metric("commits_per_fsync", p.wal_commits as f64 / p.wal_syncs.max(1) as f64)
+            .metric("wal_bytes_per_append", p.wal_bytes as f64 / p.appends.max(1) as f64);
     }
     suite
         .case("recovery/replay")

@@ -3,8 +3,8 @@
 //!
 //! One storage file holds everything:
 //!
-//! * the **level table** and an optional serialized copy of the document,
-//!   in the meta page's user blob;
+//! * the **level table** and the handles of the optional embedded
+//!   document, in the meta page's user blob;
 //! * the **vocabulary B+tree** (root slot 0): keyword → `(keyword id,
 //!   frequency, list handle)`. Loaded into an in-memory hash map at open
 //!   time — the paper's *frequency table*, used to pick the smallest list
@@ -16,9 +16,12 @@
 //!   the keyword's key range;
 //! * the **sequential list chains**: one per keyword, packed Dewey records
 //!   front to back — the layout the Scan Eager and Stack algorithms read
-//!   (Figure 4).
+//!   (Figure 4);
+//! * the **embedded document** ([`crate::document`]): a base chain written
+//!   by the build plus an append-only fragment log, one entry per append.
 
 use crate::codec::{decode_dewey, encode_dewey, encode_probe, CodecError, Probe};
+use crate::document::{self, DocumentChains};
 use crate::leveltable::LevelTable;
 use crate::memindex::MemIndex;
 use std::collections::HashMap;
@@ -124,30 +127,42 @@ pub(crate) fn split_il_key(key: &[u8]) -> Result<(u32, &[u8])> {
     Ok((u32::from_be_bytes(key[..4].try_into().unwrap()), &key[4..]))
 }
 
-// ---- meta blob: level table + optional document handle + extension ----
+// ---- meta blob: level table + optional document chains + extension ----
+//
+// blob     := lt_len u16 | level table | document | extension
+// document := 0                          no embedded document
+//           | 1 | base handle            as built, nothing appended since
+//           | 2 | base handle | log handle
 
-fn encode_blob(table: &LevelTable, doc: Option<ListHandle>, extension: &[u8]) -> Vec<u8> {
+fn encode_blob(table: &LevelTable, doc: Option<DocumentChains>, extension: &[u8]) -> Vec<u8> {
     let lt = table.encode();
-    let mut out = Vec::with_capacity(2 + lt.len() + 21 + extension.len());
+    let mut out = Vec::with_capacity(2 + lt.len() + 49 + extension.len());
     out.extend_from_slice(&(lt.len() as u16).to_le_bytes());
     out.extend_from_slice(&lt);
     match doc {
-        Some(h) => {
-            out.push(1);
-            out.extend_from_slice(&h.encode());
-        }
         None => out.push(0),
+        Some(DocumentChains { base, log: None }) => {
+            out.push(1);
+            out.extend_from_slice(&base.encode());
+        }
+        Some(DocumentChains { base, log: Some(log) }) => {
+            out.push(2);
+            out.extend_from_slice(&base.encode());
+            out.extend_from_slice(&log.encode());
+        }
     }
     out.extend_from_slice(extension);
     out
 }
 
-/// Decodes the meta blob into level table, document handle, and the
+/// Decodes the meta blob into level table, document chains, and the
 /// opaque extension region. Everything past the document section belongs
 /// to higher layers (today: the segment store's journal/manifest
 /// handles); this crate round-trips it untouched.
-// xk-analyze: allow(panic_path, reason = "every slice/index is range-checked against blob.len() before use; ext_start is bounded by the document-handle get() that precedes it")
-pub(crate) fn decode_blob(blob: &[u8]) -> Result<(LevelTable, Option<ListHandle>, Vec<u8>)> {
+// xk-analyze: allow(panic_path, reason = "every slice/index is range-checked against blob.len() before use; the extension start is bounded by the document-handle get()s that precede it")
+pub(crate) fn decode_blob(
+    blob: &[u8],
+) -> Result<(LevelTable, Option<DocumentChains>, Vec<u8>)> {
     if blob.len() < 3 {
         return Err(IndexError::Corrupt("meta blob too short".into()));
     }
@@ -158,25 +173,24 @@ pub(crate) fn decode_blob(blob: &[u8]) -> Result<(LevelTable, Option<ListHandle>
     }
     let table = LevelTable::decode(&blob[2..lt_end])
         .ok_or_else(|| IndexError::Corrupt("bad level table".into()))?;
-    let (doc, ext_start) = match blob[lt_end] {
-        0 => (None, lt_end + 1),
-        1 => {
-            // The handle bytes come from disk: a blob that passes the
-            // earlier length checks can still end mid-handle, and slicing
-            // past the end would panic on the open path.
-            let handle = blob
-                .get(lt_end + 1..lt_end + 1 + xk_storage::liststore::LIST_HANDLE_BYTES)
-                .ok_or_else(|| {
-                    IndexError::Corrupt("meta blob truncated inside document handle".into())
-                })?;
-            (
-                Some(ListHandle::decode(handle)?),
-                lt_end + 1 + xk_storage::liststore::LIST_HANDLE_BYTES,
-            )
-        }
+    // The handle bytes come from disk: a blob that passes the earlier
+    // length checks can still end mid-handle, and slicing past the end
+    // would panic on the open path.
+    const H: usize = xk_storage::liststore::LIST_HANDLE_BYTES;
+    let handle = |i: usize| -> Result<ListHandle> {
+        let start = lt_end + 1 + i * H;
+        let bytes = blob.get(start..start + H).ok_or_else(|| {
+            IndexError::Corrupt("meta blob truncated inside a document handle".into())
+        })?;
+        Ok(ListHandle::decode(bytes)?)
+    };
+    let (doc, handles) = match blob[lt_end] {
+        0 => (None, 0),
+        1 => (Some(DocumentChains { base: handle(0)?, log: None }), 1),
+        2 => (Some(DocumentChains { base: handle(0)?, log: Some(handle(1)?) }), 2),
         b => return Err(IndexError::Corrupt(format!("bad document flag {b}"))),
     };
-    Ok((table, doc, blob[ext_start..].to_vec()))
+    Ok((table, doc, blob[lt_end + 1 + handles * H..].to_vec()))
 }
 
 /// Options for [`build_disk_index_with`].
@@ -275,44 +289,38 @@ pub fn build_disk_index_with(
     }
     BTree::bulk_load(env, SLOT_IL, il_keys)?;
 
-    let doc_handle = if store_document {
+    let doc = if store_document {
         // Structural encoding, not XML text: XML merges adjacent text
         // siblings on re-parse, which would shift the Dewey ordinals
         // appends are allocated from (see `xk_xmltree::encode_tree`).
-        let encoded = xk_xmltree::encode_tree(tree);
-        let mut writer = ListWriter::new(env);
-        // Chunk the document into page-sized records.
-        let chunk = env.page_size() / 2;
-        for part in encoded.chunks(chunk) {
-            writer.append(env, part)?;
-        }
-        Some(writer.finish(env)?)
+        let base = document::write_chunked(env, None, &xk_xmltree::encode_tree(tree))?;
+        Some(DocumentChains { base, log: None })
     } else {
         None
     };
 
-    env.set_user_blob(&encode_blob(&table, doc_handle, &[]))?;
+    env.set_user_blob(&encode_blob(&table, doc, &[]))?;
     env.flush()?;
     Ok(lists.len())
 }
 
 /// A read handle over a built disk index.
 ///
-/// `Clone` is cheap (the B+tree handle is `Copy`, the level table is
-/// shared behind an `Arc`; only the frequency table is deep-copied) —
-/// the engine's append path mutates a clone (document handle, extension
-/// region) and swaps it in after the commit, so readers never see a
-/// half-updated index.
+/// `Clone` is cheap (the B+tree handle and document chains are `Copy`,
+/// the level table is shared behind an `Arc`; only the frequency table is
+/// deep-copied) — the engine's append path mutates a clone (fragment log
+/// handle, extension region) and swaps it in after the commit, so readers
+/// never see a half-updated index.
 #[derive(Clone)]
 pub struct DiskIndex {
     il: BTree,
     level_table: Arc<LevelTable>,
     /// The paper's in-memory frequency hash table, loaded at open time.
     freq: HashMap<String, KeywordMeta>,
-    doc_handle: Option<ListHandle>,
+    doc: Option<DocumentChains>,
     /// Opaque extension region after the document section of the meta
     /// blob — owned by higher layers (the segment store), preserved
-    /// verbatim across document rewrites.
+    /// verbatim across meta blob rewrites.
     extension: Vec<u8>,
 }
 
@@ -320,7 +328,7 @@ impl DiskIndex {
     /// Opens the index stored in `env`, loading the frequency table.
     pub fn open(env: &StorageEnv) -> Result<DiskIndex> {
         let blob = env.user_blob()?;
-        let (level_table, doc_handle, extension) = decode_blob(&blob)?;
+        let (level_table, doc, extension) = decode_blob(&blob)?;
         let vocab = BTree::open(env, SLOT_VOCAB)?;
         let il = BTree::open(env, SLOT_IL)?;
         let mut freq = HashMap::new();
@@ -332,7 +340,7 @@ impl DiskIndex {
             freq.insert(word, meta);
             c.advance(env)?;
         }
-        Ok(DiskIndex { il, level_table: Arc::new(level_table), freq, doc_handle, extension })
+        Ok(DiskIndex { il, level_table: Arc::new(level_table), freq, doc, extension })
     }
 
     /// Frequency-table lookup (already-normalized keyword).
@@ -360,27 +368,16 @@ impl DiskIndex {
         &self.level_table
     }
 
-    /// Loads the serialized document stored at build time (if any).
+    /// Loads the embedded document (if any): the base as built, with
+    /// every logged fragment replayed onto it in append order. A damaged
+    /// log is [`IndexError::Corrupt`].
     pub fn load_document(&self, env: &StorageEnv) -> Result<Option<XmlTree>> {
-        let Some(handle) = self.doc_handle else { return Ok(None) };
-        let mut reader = ListReader::new(&handle);
-        let mut bytes = Vec::new();
-        while let Some(chunk) = reader.next_record(env)? {
-            bytes.extend_from_slice(&chunk);
-        }
-        // Structural encoding (lossless — XML text merges adjacent text
-        // siblings, which would shift Dewey ordinals under appends); the
-        // XML fallback reads documents stored by earlier versions.
-        if bytes.starts_with(&xk_xmltree::TREE_MAGIC[..]) {
-            return xk_xmltree::decode_tree(&bytes)
-                .map(Some)
-                .map_err(|e| IndexError::Corrupt(format!("stored document: {e}")));
-        }
-        let text = String::from_utf8(bytes)
-            .map_err(|_| IndexError::Corrupt("stored document is not UTF-8".into()))?;
-        xk_xmltree::parse(&text)
-            .map(Some)
-            .map_err(|e| IndexError::Corrupt(format!("stored document does not parse: {e}")))
+        self.doc.as_ref().map(|chains| document::load(env, chains)).transpose()
+    }
+
+    /// Where the embedded document lives (`None` without one).
+    pub fn document_chains(&self) -> Option<DocumentChains> {
+        self.doc
     }
 
     /// Indexed (`lm`/`rm`) access to a keyword's list, for the Indexed
@@ -410,21 +407,21 @@ impl DiskIndex {
         })
     }
 
-    /// Replaces the embedded document (incremental ingestion re-serializes
-    /// the grown tree so rendering stays consistent with the index).
-    pub fn store_document(&mut self, env: &StorageEnv, tree: &XmlTree) -> Result<()> {
-        if let Some(old) = self.doc_handle.take() {
-            xk_storage::free_list(env, &old)?;
-        }
-        let encoded = xk_xmltree::encode_tree(tree);
-        let mut writer = ListWriter::new(env);
-        let chunk = env.page_size() / 2;
-        for part in encoded.chunks(chunk) {
-            writer.append(env, part)?;
-        }
-        let handle = writer.finish(env)?;
-        self.doc_handle = Some(handle);
-        env.set_user_blob(&encode_blob(&self.level_table, self.doc_handle, &self.extension))?;
+    /// Logs `fragment` as appended under `parent` (already checked with
+    /// [`document::tail_parent`]): one entry at the end of the fragment
+    /// log, so the write is the fragment's size, not the document's.
+    pub fn append_fragment(
+        &mut self,
+        env: &StorageEnv,
+        parent: &Dewey,
+        fragment: &XmlTree,
+    ) -> Result<()> {
+        let Some(doc) = &mut self.doc else {
+            return Err(IndexError::Corrupt("the index embeds no document to append to".into()));
+        };
+        let entry = document::encode_entry(parent, fragment)?;
+        doc.log = Some(document::write_chunked(env, doc.log, &entry)?);
+        env.set_user_blob(&encode_blob(&self.level_table, self.doc, &self.extension))?;
         Ok(())
     }
 
@@ -434,11 +431,11 @@ impl DiskIndex {
     }
 
     /// Replaces the extension region and rewrites the meta blob. The
-    /// write lands on the same page `store_document` touches, so a
+    /// write lands on the same page `append_fragment` touches, so a
     /// transaction covering both stays single-page cheap.
     pub fn set_extension(&mut self, env: &StorageEnv, bytes: Vec<u8>) -> Result<()> {
         self.extension = bytes;
-        env.set_user_blob(&encode_blob(&self.level_table, self.doc_handle, &self.extension))?;
+        env.set_user_blob(&encode_blob(&self.level_table, self.doc, &self.extension))?;
         Ok(())
     }
 }

@@ -16,11 +16,14 @@
 //!   with [`DiskRankedList`] / [`DiskStreamList`] adapters implementing
 //!   the `xk-slca` list traits (storage failures poison the [`SharedEnv`]
 //!   instead of panicking);
+//! * [`document`] — the embedded document as a base chain plus an
+//!   append-only fragment log, replayed at load;
 //! * [`verify_index`] — offline structural verification of a built index:
 //!   checksums, B+tree invariants, chain accounting, record decode.
 
 pub mod codec;
 pub mod diskindex;
+pub mod document;
 pub mod leveltable;
 pub mod memindex;
 pub mod verify;
@@ -30,6 +33,7 @@ pub use diskindex::{
     build_disk_index, build_disk_index_with, BuildOptions, DiskIndex, DiskRankedList,
     DiskStreamList, IndexError, KeywordMeta, Result, SharedEnv, SLOT_IL, SLOT_VOCAB,
 };
+pub use document::{graft, tail_parent, DocumentChains};
 pub use leveltable::LevelTable;
 pub use memindex::{node_tokens, MemIndex};
 pub use verify::{verify_index, VerifyReport};

@@ -7,7 +7,7 @@
 //!
 //! 1. **checksum sweep** — every page is pulled through the buffer pool,
 //!    which re-verifies its CRC-32 trailer on the miss path;
-//! 2. **meta blob** — the level table and optional document handle decode;
+//! 2. **meta blob** — the level table and optional document handles decode;
 //! 3. **vocabulary B+tree** — structural invariants, leaf-link symmetry,
 //!    and a full scan decoding every `KeywordMeta`;
 //! 4. **keyword list chains** — every chain walked end to end: page links,
@@ -16,13 +16,15 @@
 //!    to two chains;
 //! 5. **IL B+tree** — invariants, leaf links, every composite key splits
 //!    and decodes, and per-keyword entry counts match the vocabulary;
-//! 6. **stored document** — the chain walks and the payload decodes back
-//!    into a tree (structural `XKDOC1` records, or legacy UTF-8 XML text).
+//! 6. **stored document** — the base chain and the fragment log walk, and
+//!    the base decodes back into a tree (structural `XKDOC1` records, or
+//!    legacy UTF-8 XML text) onto which every logged fragment replays.
 
 use crate::codec::decode_dewey;
 use crate::diskindex::{decode_blob, split_il_key, KeywordMeta, SLOT_IL, SLOT_VOCAB};
+use crate::document::DocumentChains;
 use std::collections::HashMap;
-use xk_storage::{inspect_chain, BTree, ListHandle, ListReader, PageId, StorageEnv};
+use xk_storage::{inspect_chain, BTree, ListReader, PageId, StorageEnv};
 
 /// Cap on recorded issue lines: a corrupt file can produce thousands of
 /// findings, and after the first few dozen they stop being informative.
@@ -37,7 +39,8 @@ pub struct VerifyReport {
     pub keyword_count: usize,
     /// Entries in the composite-key (IL) B+tree.
     pub il_entries: u64,
-    /// Pages claimed by keyword list chains and the stored document.
+    /// Pages claimed by keyword list chains and the stored document
+    /// (base chain and fragment log).
     pub list_pages: u64,
     /// Human-readable findings; empty means the index is healthy.
     pub issues: Vec<String>,
@@ -82,7 +85,7 @@ pub fn verify_index(env: &StorageEnv) -> VerifyReport {
             return report;
         }
     };
-    let (table, doc_handle, _extension) = match decode_blob(&blob) {
+    let (table, doc, _extension) = match decode_blob(&blob) {
         Ok(parts) => parts,
         Err(e) => {
             report.issue(format!("meta blob: {e}"));
@@ -125,8 +128,8 @@ pub fn verify_index(env: &StorageEnv) -> VerifyReport {
     }
 
     // 6. Stored document, if any.
-    if let Some(handle) = doc_handle {
-        verify_document(env, &handle, &mut claimed, &mut report);
+    if let Some(chains) = doc {
+        verify_document(env, &chains, &mut claimed, &mut report);
     }
     report.list_pages = claimed.len() as u64;
 
@@ -308,56 +311,37 @@ fn scan_il(
     }
 }
 
-/// Verifies the embedded document chain: structure, page ownership, and
-/// that the concatenated bytes parse back into an XML tree.
+/// Verifies the embedded document: both chains' structure and page
+/// ownership, then that the base decodes and every logged fragment
+/// replays onto it.
 fn verify_document(
     env: &StorageEnv,
-    handle: &ListHandle,
+    chains: &DocumentChains,
     claimed: &mut HashMap<PageId, String>,
     report: &mut VerifyReport,
 ) {
-    match inspect_chain(env, handle) {
-        Ok(info) => {
-            for page in &info.pages {
-                if let Some(other) = claimed.insert(*page, "<document>".to_string()) {
-                    report.issue(format!(
-                        "page {} belongs to both the {other:?} chain and the document",
-                        page.0
-                    ));
+    let walks = std::iter::once(("document", &chains.base))
+        .chain(chains.log.as_ref().map(|log| ("fragment log", log)));
+    for (name, handle) in walks {
+        match inspect_chain(env, handle) {
+            Ok(info) => {
+                for page in &info.pages {
+                    if let Some(other) = claimed.insert(*page, format!("<{name}>")) {
+                        report.issue(format!(
+                            "page {} belongs to both the {other:?} chain and the {name}",
+                            page.0
+                        ));
+                    }
                 }
             }
-        }
-        Err(e) => {
-            report.issue(format!("stored document chain: {e}"));
-            return;
-        }
-    }
-    let mut reader = ListReader::new(handle);
-    let mut xml = Vec::new();
-    loop {
-        match reader.next_record(env) {
-            Ok(Some(chunk)) => xml.extend_from_slice(&chunk),
-            Ok(None) => break,
             Err(e) => {
-                report.issue(format!("stored document read failed: {e}"));
-                return;
+                report.issue(format!("stored {name} chain: {e}"));
+                return; // no point decoding records off a broken chain
             }
         }
     }
-    if xml.starts_with(&xk_xmltree::TREE_MAGIC[..]) {
-        if let Err(e) = xk_xmltree::decode_tree(&xml) {
-            report.issue(format!("stored document does not decode: {e}"));
-        }
-        return;
-    }
-    // Legacy databases stored the document as XML text.
-    match String::from_utf8(xml) {
-        Ok(text) => {
-            if let Err(e) = xk_xmltree::parse(&text) {
-                report.issue(format!("stored document does not parse: {e}"));
-            }
-        }
-        Err(_) => report.issue("stored document is not UTF-8".to_string()),
+    if let Err(e) = crate::document::load(env, chains) {
+        report.issue(format!("stored document does not load: {e}"));
     }
 }
 
@@ -431,6 +415,31 @@ mod tests {
             "issues: {:?}",
             report.issues
         );
+    }
+
+    #[test]
+    fn fragment_log_is_walked_and_replayed() {
+        let env = built_env(true);
+        let before = verify_index(&env).list_pages;
+        let mut index = crate::DiskIndex::open(&env).unwrap();
+        let frag = xk_xmltree::parse("<class><name>Ann</name></class>").unwrap();
+        index.append_fragment(&env, &xk_xmltree::Dewey::root(), &frag).unwrap();
+        let report = verify_index(&env);
+        assert!(report.is_ok(), "issues: {:?}", report.issues);
+        assert!(report.list_pages > before, "the log's pages are claimed");
+
+        // Class 0 is off the rightmost path: the entry cannot replay.
+        index.append_fragment(&env, &"0".parse().unwrap(), &frag).unwrap();
+        let report = verify_index(&env);
+        assert!(
+            report
+                .issues
+                .iter()
+                .any(|i| i.contains("fragment log entry 1") && i.contains("rightmost")),
+            "issues: {:?}",
+            report.issues
+        );
+        assert!(matches!(index.load_document(&env), Err(crate::IndexError::Corrupt(_))));
     }
 
     #[test]

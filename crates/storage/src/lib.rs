@@ -51,8 +51,8 @@ pub use error::{Result, StorageError};
 pub use recovery::{recover, recover_files, RecoveryReport};
 pub use fault::{FaultConfig, FaultPager, FaultProbe};
 pub use liststore::{
-    free_list, inspect_chain, ChainInfo, ListAppender, ListHandle, ListReader, ListWriter,
-    LIST_HANDLE_BYTES,
+    append_records, free_list, inspect_chain, ChainInfo, ListAppender, ListHandle, ListReader,
+    ListWriter, LIST_HANDLE_BYTES,
 };
 pub use pager::{FilePager, MemPager, PageId, Pager};
 pub use stats::IoStats;

@@ -204,6 +204,32 @@ impl ListAppender {
     }
 }
 
+/// Appends `records` to the chain behind `handle`, continuing in its tail
+/// page ([`ListAppender`]), or starts a new chain ([`ListWriter`]) when
+/// there is none yet. Returns the handle the caller persists.
+pub fn append_records<R: AsRef<[u8]>>(
+    env: &StorageEnv,
+    handle: Option<ListHandle>,
+    records: impl IntoIterator<Item = R>,
+) -> Result<ListHandle> {
+    match handle {
+        Some(h) => {
+            let mut a = ListAppender::open(env, h)?;
+            for r in records {
+                a.append(env, r.as_ref())?;
+            }
+            Ok(a.finish())
+        }
+        None => {
+            let mut w = ListWriter::new(env);
+            for r in records {
+                w.append(env, r.as_ref())?;
+            }
+            w.finish(env)
+        }
+    }
+}
+
 /// Streaming reader over a page chain. Each page is fetched through the
 /// buffer pool exactly once per pass, so sequential consumption of a list
 /// of `N` pages costs `N` logical reads (and `N` disk reads when cold).
@@ -507,6 +533,19 @@ mod tests {
         assert_eq!(h.entry_count, 1);
         let mut r = ListReader::new(&h);
         assert_eq!(r.next_record(&env).unwrap().unwrap(), b"first");
+    }
+
+    #[test]
+    fn append_records_starts_then_continues_a_chain() {
+        let env = mem_env();
+        let h = append_records(&env, None, (0..5u32).map(|i| i.to_le_bytes())).unwrap();
+        let h2 = append_records(&env, Some(h), (5..120u32).map(|i| i.to_le_bytes())).unwrap();
+        assert_eq!((h2.head, h2.entry_count), (h.head, 120));
+        let mut r = ListReader::new(&h2);
+        for i in 0..120u32 {
+            assert_eq!(r.next_record(&env).unwrap().unwrap(), i.to_le_bytes());
+        }
+        assert_eq!(r.next_record(&env).unwrap(), None);
     }
 
     #[test]

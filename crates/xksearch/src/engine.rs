@@ -39,7 +39,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
-use xk_index::{build_disk_index_with, DiskIndex, DiskRankedList, DiskStreamList, SharedEnv};
+use xk_index::{
+    build_disk_index_with, graft, tail_parent, DiskIndex, DiskRankedList, DiskStreamList, SharedEnv,
+};
 use xk_segment::{
     encode_journal_record, merged_lists, plan_merge, read_manifest, replay_journal, seal,
     verify_store, write_manifest, ArcList, DirSegmentIo, ErrorSlot, MemSegment, MemSegmentIo,
@@ -51,8 +53,8 @@ use xk_slca::{
     ChainedStreamList, LcaKind, RankedList, StreamList,
 };
 use xk_storage::{
-    free_list, EnvOptions, FilePager, IoStats, ListAppender, ListHandle, ListWriter, Pager,
-    ReadPin, RecoveryReport, StorageEnv, Wal, WAL_PAGE_SIZE,
+    append_records, free_list, EnvOptions, FilePager, IoStats, Pager, ReadPin, RecoveryReport,
+    StorageEnv, Wal, WAL_PAGE_SIZE,
 };
 use xk_xmltree::{normalize_keyword, Dewey, XmlTree};
 
@@ -1097,7 +1099,11 @@ impl Engine {
     /// The new postings go to the segment store (see
     /// [`Engine::set_seal_threshold`]), never into the build-time
     /// posting B+trees, so the fragment's ordinals and depth are not
-    /// limited by the index's level table.
+    /// limited by the index's level table. The fragment itself becomes
+    /// one entry of the embedded document's fragment log
+    /// ([`DiskIndex::append_fragment`]): the append writes pages in
+    /// proportion to the fragment, not to the document, and a reload
+    /// replays the log onto the build-time base.
     ///
     /// Constraints:
     ///
@@ -1114,41 +1120,15 @@ impl Engine {
     /// commit records share one fsync.
     // xk-analyze: root(durability_order)
     pub fn append_subtree(&self, parent: &Dewey, fragment_xml: &str) -> Result<AppendOutcome> {
-        use xk_xmltree::NodeId;
-
         let append_guard = lock(&self.append_lock);
         let mut doc_slot = lock(&self.document);
         self.ensure_document(&mut doc_slot)?;
         // xk-analyze: allow(panic_path, reason = "ensure_document fills the slot or errors out above")
         let doc = doc_slot.as_mut().expect("document loaded above");
 
-        // Validate everything before touching the tree or the disk.
-        let parent_id = doc
-            .node_at(parent)
-            .ok_or_else(|| EngineError::BadQuery(format!("no node at {parent}")))?;
-        if !doc.content(parent_id).is_element() {
-            return Err(EngineError::BadQuery(format!(
-                "cannot append under the text node at {parent}"
-            )));
-        }
-        // The parent must lie on the rightmost root-to-leaf path.
-        let mut cursor = NodeId::ROOT;
-        let mut on_rightmost = cursor == parent_id;
-        while !on_rightmost {
-            match doc.children(cursor).last() {
-                Some(&c) => {
-                    cursor = c;
-                    on_rightmost = cursor == parent_id;
-                }
-                None => break,
-            }
-        }
-        if !on_rightmost {
-            return Err(EngineError::BadQuery(format!(
-                "{parent} is not on the document's rightmost path; \
-                 incremental ingestion only supports appends at the tail"
-            )));
-        }
+        // Validate everything before touching the tree or the disk; the
+        // document's replay runs the same check on every logged fragment.
+        let parent_id = tail_parent(doc, parent).map_err(EngineError::BadQuery)?;
         let fragment = xk_xmltree::parse(fragment_xml)?;
 
         // Open the transaction *before* grafting: begin_txn itself can
@@ -1158,7 +1138,7 @@ impl Engine {
         // against a scratch copy of the index. Nothing the scratch copy
         // does is visible to queries until the swap after commit.
         self.env.with(|e| e.begin_txn())?;
-        let new_root = graft(doc, parent_id, &fragment, NodeId::ROOT);
+        let new_root = graft(doc, parent_id, &fragment, xk_xmltree::NodeId::ROOT);
         let added: Vec<(Dewey, Vec<String>)> = doc
             .preorder_from(new_root)
             .map(|n| (doc.dewey(n), xk_index::node_tokens(doc, n)))
@@ -1169,20 +1149,19 @@ impl Engine {
         // orphan until the next open.
         let mut orphan: Option<u64> = None;
         let applied = (|| -> Result<(Vec<String>, SegUpdate)> {
-            let update = self.seg_apply(&mut scratch, &added, &mut orphan)?;
-            // Keep the embedded document in sync for rendering and
-            // reopening.
-            self.env.with(|e| scratch.store_document(e, doc))?;
-            Ok(update)
+            // Log the fragment so a reload replays it onto the document.
+            self.env.with(|e| scratch.append_fragment(e, parent, &fragment))?;
+            self.seg_apply(&mut scratch, &added, &mut orphan)
         })();
         let abort = |doc_slot: &mut Option<XmlTree>| -> Result<()> {
             // Roll back: the undo log restores every touched page,
             // dropping the scratch index discards the in-memory
             // half-update, and the grafted document is thrown away
-            // and lazily reloaded from the intact stored copy. A blob
-            // sealed during the attempt is unreferenced by any committed
-            // manifest, so deleting it is safe (best-effort — the next
-            // open retries orphan cleanup).
+            // and lazily reloaded by replaying the committed fragment
+            // log onto the base. A blob sealed during the attempt is
+            // unreferenced by any committed manifest, so deleting it
+            // is safe (best-effort — the next open retries orphan
+            // cleanup).
             *doc_slot = None;
             self.env.with(|env| env.abort_txn())?;
             if let Some(seq) = orphan {
@@ -1313,24 +1292,8 @@ impl Engine {
         } else {
             // Journal: extend (or start) the posting journal so a
             // reopen can rebuild the mem segment.
-            let journal = self.env.with(|e| -> Result<ListHandle> {
-                match ext0.journal {
-                    Some(h) => {
-                        let mut a = ListAppender::open(e, h)?;
-                        for (kw, d) in &records {
-                            a.append(e, &encode_journal_record(kw, d))?;
-                        }
-                        Ok(a.finish())
-                    }
-                    None => {
-                        let mut w = ListWriter::new(e);
-                        for (kw, d) in &records {
-                            w.append(e, &encode_journal_record(kw, d))?;
-                        }
-                        Ok(w.finish(e)?)
-                    }
-                }
-            })?;
+            let encoded = records.iter().map(|(kw, d)| encode_journal_record(kw, d));
+            let journal = self.env.with(|e| append_records(e, ext0.journal, encoded))?;
             let view = snap0.mem.advanced(&mem, &touched);
             (
                 SegExt { journal: Some(journal), ..ext0 },
@@ -1692,27 +1655,6 @@ fn sync_parent_dir(path: &Path) {
     }
     #[cfg(not(unix))]
     let _ = path;
-}
-
-/// Deep-copies the subtree of `src` rooted at `src_node` as a new last
-/// child of `dst_parent`, returning the copy's root id.
-fn graft(
-    dst: &mut XmlTree,
-    dst_parent: xk_xmltree::NodeId,
-    src: &XmlTree,
-    src_node: xk_xmltree::NodeId,
-) -> xk_xmltree::NodeId {
-    use xk_xmltree::NodeContent;
-    let new_id = match src.content(src_node) {
-        NodeContent::Element { tag, attributes } => {
-            dst.append_element_with_attrs(dst_parent, tag.clone(), attributes.clone())
-        }
-        NodeContent::Text(t) => dst.append_text(dst_parent, t.clone()),
-    };
-    for &c in src.children(src_node) {
-        graft(dst, new_id, src, c);
-    }
-    new_id
 }
 
 #[cfg(test)]

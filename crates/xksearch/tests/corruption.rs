@@ -137,3 +137,62 @@ fn engine_build_is_atomic_at_the_final_path() {
     assert!(!building.exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Damage to one page of the document's fragment log must fail closed:
+/// rendering, the next append and `verify_index` all report errors, never
+/// a panic. Two kinds of damage: a flipped byte on disk (the page
+/// checksum catches it) and a byte rewritten behind a valid checksum
+/// (only the log entry's own CRC catches it).
+#[test]
+fn damaged_fragment_log_fails_closed() {
+    let dir = temp_dir("fraglog");
+    let path = dir.join("school.db");
+    let opts = EnvOptions { page_size: 512, pool_pages: 64 };
+    let engine = Engine::build(&school_example(), &path, opts.clone(), true).unwrap();
+    // Larger than a page, so the log spans several pages.
+    let big = format!("<class><title>{}</title></class>", "big ".repeat(200));
+    engine.append_subtree(&Dewey::root(), &big).unwrap();
+    engine.append_subtree(&Dewey::root(), "<class><name>Ann</name></class>").unwrap();
+    let log = engine.index().document_chains().unwrap().log.expect("appends start the log");
+    drop(engine);
+    let clean = std::fs::read(&path).unwrap();
+
+    for behind_checksum in [false, true] {
+        std::fs::write(&path, &clean).unwrap();
+        if behind_checksum {
+            let env = StorageEnv::open(&path, opts.clone()).unwrap();
+            // Past the chain header (6) and record length (2), inside the
+            // first entry's long title text: the damaged entry still
+            // decodes, so only its CRC can tell.
+            env.with_page_mut(log.head, |p| p[6 + 2 + 200] ^= 0x01).unwrap();
+            env.flush().unwrap();
+        } else {
+            let mut bytes = clean.clone();
+            bytes[log.head.0 as usize * 512 + 100] ^= 0x40;
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        let ctx = if behind_checksum { "behind the checksum" } else { "on disk" };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let engine = Engine::open(&path, opts.clone()).unwrap();
+            let rendered = engine.render_subtree(&Dewey::root());
+            let appended = engine.append_subtree(&Dewey::root(), "<class>late</class>");
+            drop(engine);
+            let env = StorageEnv::open(&path, opts.clone()).unwrap();
+            (rendered, appended, xk_index::verify_index(&env))
+        }));
+        let (rendered, appended, report) =
+            outcome.unwrap_or_else(|_| panic!("damage {ctx} caused a PANIC"));
+        let err = rendered.expect_err(ctx).to_string();
+        assert!(appended.is_err(), "{ctx}: append over a damaged log must fail");
+        assert!(!report.is_ok(), "{ctx}: verify must flag the damaged log");
+        if behind_checksum {
+            assert!(err.contains("fragment log entry 0: checksum mismatch"), "{ctx}: {err}");
+            assert!(
+                report.issues.iter().any(|i| i.contains("fragment log")),
+                "{ctx}: {:?}",
+                report.issues
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

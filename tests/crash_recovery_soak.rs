@@ -9,6 +9,9 @@
 //! 2. **Oracle agreement** — after recovery all four algorithms
 //!    (Indexed Lookup Eager, Scan Eager, Stack, all-LCA) agree with a
 //!    brute-force oracle over exactly that recovered document.
+//! 3. **Document agreement** — the recovered stored document (base plus
+//!    replayed fragment log) renders as that document, and one more
+//!    append is acknowledged at the Dewey id the document assigns next.
 //!
 //! Replay idempotence is asserted at every site too: running recovery a
 //! second time neither reports dirty state nor changes a single page
@@ -27,7 +30,7 @@ use xk_slca::{brute_force_all_lcas, brute_force_slca};
 use xk_storage::{
     recover, FaultConfig, FaultPager, FaultProbe, MemPager, Pager, StorageEnv,
 };
-use xk_xmltree::{Dewey, XmlTree};
+use xk_xmltree::{Dewey, NodeId, XmlTree};
 use xksearch::{Algorithm, CommitMode, DurabilityOptions, Engine};
 
 const PAGE: usize = 512;
@@ -221,6 +224,25 @@ fn verify_recovered(crashed: Crashed, acked: usize, ctx: &str) {
         let got: Vec<Dewey> = out.lcas.iter().map(|(n, _)| n.clone()).collect();
         assert_eq!(got, expected_all, "{ctx}: all-LCA for {q:?} (prefix {j})");
     }
+
+    // The next append's ordinals come from the recovered document.
+    let rendered = engine
+        .render_subtree(&Dewey::root())
+        .unwrap_or_else(|e| panic!("{ctx}: rendering the recovered document failed: {e}"));
+    assert_eq!(
+        rendered,
+        xk_xmltree::to_pretty_xml_string(&reference, NodeId::ROOT),
+        "{ctx}: recovered document (prefix {j})"
+    );
+    let next = engine
+        .append_subtree(&Dewey::root(), &fragment(j))
+        .unwrap_or_else(|e| panic!("{ctx}: append after recovery failed: {e}"));
+    let ordinal = reference.children(NodeId::ROOT).len() as u32;
+    assert_eq!(
+        next.root,
+        Dewey::from_components(vec![ordinal]),
+        "{ctx}: append after recovery (prefix {j})"
+    );
 }
 
 /// `XK_SOAK_SMOKE=1` samples the crash sites for CI; the full sweep
