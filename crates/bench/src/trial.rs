@@ -49,10 +49,9 @@ pub struct Suite {
     pub scale: String,
     /// The RNG seed the run used (replay handle).
     pub seed: u64,
-    /// Git revision placeholder: `XK_GIT_REV` env when set (CI passes
-    /// the commit SHA), `"unknown"` otherwise — the file itself is
-    /// checked in, so the reviewing diff supplies the revision either
-    /// way.
+    /// The commit the run measured: `XK_GIT_REV` when set, else the
+    /// `HEAD` of the enclosing git checkout ([`git_rev_in`]), else
+    /// `"unknown"`.
     pub git_rev: String,
     /// The wall configuration of the run (page size, pool pages, paper
     /// counts, request budgets, ...), in insertion order.
@@ -99,13 +98,18 @@ impl Case {
 }
 
 impl Suite {
-    /// A new suite envelope. `git_rev` is resolved from `XK_GIT_REV`.
+    /// A new suite envelope. `git_rev` is resolved from `XK_GIT_REV`,
+    /// then from the checkout around the working directory.
     pub fn new(suite: impl Into<String>, scale: impl Into<String>, seed: u64) -> Suite {
+        let git_rev = std::env::var("XK_GIT_REV")
+            .ok()
+            .or_else(|| std::env::current_dir().ok().and_then(|dir| git_rev_in(&dir)))
+            .unwrap_or_else(|| "unknown".into());
         Suite {
             suite: suite.into(),
             scale: scale.into(),
             seed,
-            git_rev: std::env::var("XK_GIT_REV").unwrap_or_else(|_| "unknown".into()),
+            git_rev,
             config: Vec::new(),
             cases: Vec::new(),
         }
@@ -838,9 +842,69 @@ fn indent_json(compact: &str) -> String {
     out
 }
 
+/// The commit checked out in the git repository containing `dir` (or in
+/// one of its ancestors), read from the files git keeps: `HEAD` holds a
+/// commit hash (detached) or a symbolic ref, whose hash is in the ref's
+/// loose file or else in `packed-refs`. `None` outside a repository or
+/// when the ref cannot be resolved.
+pub fn git_rev_in(dir: &Path) -> Option<String> {
+    let git = dir.ancestors().map(|d| d.join(".git")).find(|g| g.is_dir())?;
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let is_hash = |s: &str| s.len() >= 40 && s.bytes().all(|b| b.is_ascii_hexdigit());
+    let Some(refname) = head.strip_prefix("ref:").map(str::trim) else {
+        return is_hash(head).then(|| head.to_string());
+    };
+    if let Ok(loose) = std::fs::read_to_string(git.join(refname)) {
+        let hash = loose.trim();
+        return is_hash(hash).then(|| hash.to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed.lines().find_map(|line| {
+        let (hash, name) = line.split_once(' ')?;
+        (name.trim() == refname && is_hash(hash)).then(|| hash.to_string())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn git_rev_resolves_symbolic_packed_and_detached_heads() {
+        let root = std::env::temp_dir().join(format!("xk-git-rev-{}", std::process::id()));
+        let git = root.join(".git");
+        let nested = root.join("crates/bench");
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        std::fs::create_dir_all(&nested).unwrap();
+        let a = "0c6f36db9969cb8fd5b0929e29062f82216991e0";
+        let b = "ae1e3f7aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa";
+        let write = |path: &str, text: &str| std::fs::write(git.join(path), text).unwrap();
+
+        // A branch with a loose ref, found from a nested directory.
+        write("HEAD", "ref: refs/heads/main\n");
+        write("refs/heads/main", &format!("{a}\n"));
+        assert_eq!(git_rev_in(&nested).as_deref(), Some(a));
+
+        // A branch only in packed-refs.
+        write("HEAD", "ref: refs/heads/topic\n");
+        let packed =
+            format!("# pack-refs with: peeled\n{a} refs/heads/main\n{b} refs/heads/topic\n");
+        write("packed-refs", &packed);
+        assert_eq!(git_rev_in(&root).as_deref(), Some(b));
+
+        // A detached HEAD.
+        write("HEAD", &format!("{a}\n"));
+        assert_eq!(git_rev_in(&root).as_deref(), Some(a));
+
+        // An unresolvable ref, and garbage in HEAD.
+        write("HEAD", "ref: refs/heads/gone\n");
+        assert_eq!(git_rev_in(&root), None);
+        write("HEAD", "not a hash\n");
+        assert_eq!(git_rev_in(&root), None);
+
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
     fn sample() -> Suite {
         let mut s = Suite::new("writepath", "smoke", 0xD07A);

@@ -14,9 +14,14 @@
 //!   where keywords are the primary key and Dewey numbers are the
 //!   secondary key" (Figure 5). `lm`/`rm` are `seek_le`/`seek_ge` within
 //!   the keyword's key range;
-//! * the **sequential list chains**: one per keyword, packed Dewey records
-//!   front to back — the layout the Scan Eager and Stack algorithms read
-//!   (Figure 4);
+//! * the **sequential lists**: each keyword's packed Dewey records front
+//!   to back — the layout the Scan Eager and Stack algorithms read
+//!   (Figure 4). All lists share one page chain, in keyword-id order: a
+//!   list starts inside the previous list's last page when it fits in the
+//!   space left there, and on a fresh page otherwise
+//!   ([`xk_storage::ListWriter::write_list`]), so each list spans the
+//!   pages it would span alone and a cold scan still costs `ceil(|S|/B)`
+//!   reads. The vocabulary entry holds the list's start offset;
 //! * the **embedded document** ([`crate::document`]): a base chain written
 //!   by the build plus an append-only fragment log, one entry per append.
 
@@ -78,33 +83,45 @@ pub struct KeywordMeta {
     pub kwid: u32,
     /// Number of nodes containing the keyword — the paper's `|S|`.
     pub count: u64,
-    /// The keyword's sequential list chain.
+    /// The keyword's sequential list: where its pages are in the shared
+    /// chain.
     pub handle: ListHandle,
+    /// Byte offset of the list's first record in `handle.head`, which it
+    /// may share with the lists before it.
+    pub start: u16,
 }
 
-const META_BYTES: usize = 12 + xk_storage::liststore::LIST_HANDLE_BYTES;
+/// Entry bytes before the start offset: databases built before lists were
+/// packed store exactly this much, and their lists start at offset 0.
+const LEGACY_META_BYTES: usize = 12 + xk_storage::liststore::LIST_HANDLE_BYTES;
+const META_BYTES: usize = LEGACY_META_BYTES + 2;
 
 impl KeywordMeta {
     pub(crate) fn encode(&self) -> [u8; META_BYTES] {
         let mut out = [0u8; META_BYTES];
         out[..4].copy_from_slice(&self.kwid.to_le_bytes());
         out[4..12].copy_from_slice(&self.count.to_le_bytes());
-        out[12..].copy_from_slice(&self.handle.encode());
+        out[12..LEGACY_META_BYTES].copy_from_slice(&self.handle.encode());
+        out[LEGACY_META_BYTES..].copy_from_slice(&self.start.to_le_bytes());
         out
     }
 
-    // xk-analyze: allow(panic_path, reason = "fixed-width slices of a length-checked META_BYTES buffer cannot fail try_into")
+    // xk-analyze: allow(panic_path, reason = "fixed-width slices of a buffer length-checked against LEGACY_META_BYTES / META_BYTES cannot fail try_into")
     pub(crate) fn decode(bytes: &[u8]) -> Result<KeywordMeta> {
-        if bytes.len() != META_BYTES {
-            return Err(IndexError::Corrupt(format!(
-                "vocabulary entry must be {META_BYTES} bytes, got {}",
-                bytes.len()
-            )));
-        }
+        let start = match bytes.len() {
+            LEGACY_META_BYTES => 0,
+            META_BYTES => u16::from_le_bytes(bytes[LEGACY_META_BYTES..].try_into().unwrap()),
+            n => {
+                return Err(IndexError::Corrupt(format!(
+                    "vocabulary entry must be {META_BYTES} (or legacy {LEGACY_META_BYTES}) bytes, got {n}"
+                )))
+            }
+        };
         Ok(KeywordMeta {
             kwid: u32::from_le_bytes(bytes[..4].try_into().unwrap()),
             count: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
-            handle: ListHandle::decode(&bytes[12..])?,
+            handle: ListHandle::decode(&bytes[12..LEGACY_META_BYTES])?,
+            start,
         })
     }
 }
@@ -207,7 +224,7 @@ pub struct BuildOptions {
     /// Additional 8-bit levels beyond the initial document's depth (the
     /// same caveat applies).
     pub extra_levels: usize,
-    /// Write posting lists into the B+tree layouts (sequential chains +
+    /// Write posting lists into the B+tree layouts (sequential lists +
     /// composite IL keys). `false` leaves both trees empty — the segment
     /// store becomes the sole posting layout and the index keeps only
     /// the level table, vocabulary-free frequency map, and document.
@@ -227,7 +244,8 @@ impl Default for BuildOptions {
 
 /// Builds the complete disk index for `tree` inside `env`, optionally
 /// storing the serialized document so the index file is self-contained.
-/// Returns the number of distinct keywords indexed. Uses an exact-fit
+/// Returns the number of distinct keywords indexed (0 with
+/// [`BuildOptions::index_postings`] off). Uses an exact-fit
 /// level table; [`build_disk_index_with`] takes explicit options.
 pub fn build_disk_index(
     env: &StorageEnv,
@@ -255,38 +273,41 @@ pub fn build_disk_index_with(
     let store_document = options.store_document;
     let table = LevelTable::build(tree)
         .with_headroom(options.level_headroom_bits, options.extra_levels);
-    let lists = MemIndex::build(tree).into_sorted_lists();
-
-    // Phase 1: sequential list chains, collecting the vocabulary entries.
     // With `index_postings` off both layouts stay empty (the trees are
     // still created so open finds valid roots); the segment store owns
-    // the postings instead.
-    let mut vocab_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    if options.index_postings {
-        vocab_entries.reserve(lists.len());
-        for (kwid, (keyword, nodes)) in lists.iter().enumerate() {
-            let mut writer = ListWriter::new(env);
-            for node in nodes {
-                writer.append(env, &encode_dewey(node, &table)?)?;
-            }
-            let handle = writer.finish(env)?;
-            let meta = KeywordMeta { kwid: kwid as u32, count: nodes.len() as u64, handle };
-            vocab_entries.push((keyword.as_bytes().to_vec(), meta.encode().to_vec()));
+    // the postings instead, so the lists are not even gathered.
+    let lists = if options.index_postings {
+        MemIndex::build(tree).into_sorted_lists()
+    } else {
+        Vec::new()
+    };
+
+    // Phase 1: encode each Dewey once into its IL key, and pack every
+    // keyword's list into the shared chain, in keyword-id order, with the
+    // keys' packed-Dewey suffixes as records. Collects the vocabulary.
+    let mut il_keys: Vec<(Vec<u8>, Vec<u8>)> =
+        Vec::with_capacity(lists.iter().map(|(_, nodes)| nodes.len()).sum());
+    let mut vocab_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(lists.len());
+    let mut writer = ListWriter::new(env);
+    for (kwid, (keyword, nodes)) in lists.iter().enumerate() {
+        let kwid = kwid as u32;
+        let first = il_keys.len();
+        for node in nodes {
+            il_keys.push((il_key(kwid, &encode_dewey(node, &table)?), Vec::new()));
         }
+        let records = il_keys[first..].iter().map(|(key, _)| &key[4..]);
+        let (handle, start) = writer.write_list(env, records)?;
+        let meta = KeywordMeta { kwid, count: nodes.len() as u64, handle, start };
+        vocab_entries.push((keyword.as_bytes().to_vec(), meta.encode().to_vec()));
+    }
+    if !lists.is_empty() {
+        writer.finish(env)?; // writes the chain's last page
     }
 
     // Phase 2: bulk-load both B+trees. Keywords are sorted, and within a
     // keyword the packed Deweys are in document order, so the composite
     // IL keys arrive in strictly ascending order.
     BTree::bulk_load(env, SLOT_VOCAB, vocab_entries)?;
-    let mut il_keys: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    if options.index_postings {
-        for (kwid, (_, nodes)) in lists.iter().enumerate() {
-            for node in nodes {
-                il_keys.push((il_key(kwid as u32, &encode_dewey(node, &table)?), Vec::new()));
-            }
-        }
-    }
     BTree::bulk_load(env, SLOT_IL, il_keys)?;
 
     let doc = if store_document {
@@ -402,8 +423,9 @@ impl DiskIndex {
         Some(DiskStreamList {
             env,
             handle: meta.handle,
+            start: meta.start,
             table: Arc::clone(&self.level_table),
-            reader: ListReader::new(&meta.handle),
+            reader: ListReader::starting_at(&meta.handle, meta.start),
         })
     }
 
@@ -630,13 +652,15 @@ impl RankedList for DiskRankedList {
     }
 }
 
-/// Disk-backed [`StreamList`]: sequential page-chain reads.
+/// Disk-backed [`StreamList`]: sequential reads of one list of the shared
+/// chain, from its start offset in its head page.
 ///
 /// As with [`DiskRankedList`], storage failures poison the [`SharedEnv`]
 /// and end the stream early.
 pub struct DiskStreamList {
     env: SharedEnv,
     handle: ListHandle,
+    start: u16,
     table: Arc<LevelTable>,
     reader: ListReader,
 }
@@ -647,7 +671,7 @@ impl StreamList for DiskStreamList {
     }
 
     fn rewind(&mut self) {
-        self.reader = ListReader::new(&self.handle);
+        self.reader = ListReader::starting_at(&self.handle, self.start);
     }
 
     fn next_node(&mut self) -> Option<Dewey> {

@@ -10,10 +10,17 @@
 //! 2. **meta blob** — the level table and optional document handles decode;
 //! 3. **vocabulary B+tree** — structural invariants, leaf-link symmetry,
 //!    and a full scan decoding every `KeywordMeta`;
-//! 4. **keyword list chains** — every chain walked end to end: page links,
-//!    byte/record accounting against the handle, every packed Dewey
-//!    decodes, document order is strictly ascending, and no page belongs
-//!    to two chains;
+//! 4. **keyword lists** — in keyword-id order, each list walked for
+//!    exactly its entry count from its start offset: page links, record
+//!    framing, byte accounting and tail page against the handle, every
+//!    packed Dewey decodes, and document order is strictly ascending.
+//!    The lists must tile the shared chain: each starts at offset 0 of a
+//!    page no other list claims, or in the previous list's last page at
+//!    exactly the offset where that list ended; no list leaves bytes
+//!    after it unclaimed; and a page is shared only by consecutive lists.
+//!    Each page is read once per list on it, so the check is linear in
+//!    the index size. Lists built before packing (one chain each, from
+//!    offset 0) tile trivially;
 //! 5. **IL B+tree** — invariants, leaf links, every composite key splits
 //!    and decodes, and per-keyword entry counts match the vocabulary;
 //! 6. **stored document** — the base chain and the fragment log walk, and
@@ -24,7 +31,7 @@ use crate::codec::decode_dewey;
 use crate::diskindex::{decode_blob, split_il_key, KeywordMeta, SLOT_IL, SLOT_VOCAB};
 use crate::document::DocumentChains;
 use std::collections::HashMap;
-use xk_storage::{inspect_chain, BTree, ListReader, PageId, StorageEnv};
+use xk_storage::{inspect_chain, BTree, PageId, StorageEnv};
 
 /// Cap on recorded issue lines: a corrupt file can produce thousands of
 /// findings, and after the first few dozen they stop being informative.
@@ -93,12 +100,12 @@ pub fn verify_index(env: &StorageEnv) -> VerifyReport {
         }
     };
 
-    // Pages already claimed by some chain, to catch cross-linked lists.
+    // Pages already claimed by some list, to catch cross-linked lists.
     let mut claimed: HashMap<PageId, String> = HashMap::new();
     // kwid -> (keyword, count) from the vocabulary, for the IL cross-check.
     let mut vocab_counts: HashMap<u32, (String, u64)> = HashMap::new();
 
-    // 3 + 4. Vocabulary tree and the keyword list chains it points at.
+    // 3 + 4. Vocabulary tree and the keyword lists it points at.
     match BTree::open(env, SLOT_VOCAB) {
         Ok(vocab) => {
             if let Err(e) = vocab.check_invariants(env) {
@@ -107,7 +114,23 @@ pub fn verify_index(env: &StorageEnv) -> VerifyReport {
             if let Err(e) = vocab.verify_leaf_links(env) {
                 report.issue(format!("vocabulary B+tree: {e}"));
             }
-            scan_vocabulary(env, &vocab, &table, &mut claimed, &mut vocab_counts, &mut report);
+            let mut lists = scan_vocabulary(env, &vocab, &mut vocab_counts, &mut report);
+            lists.sort_by_key(|(_, meta)| meta.kwid);
+            let mut previous = None;
+            for (word, meta) in lists {
+                previous = verify_keyword_list(
+                    env,
+                    word,
+                    &meta,
+                    &table,
+                    previous,
+                    &mut claimed,
+                    &mut report,
+                );
+            }
+            if let Some(last) = previous {
+                check_filled(&last, &mut report);
+            }
         }
         Err(e) => report.issue(format!("vocabulary B+tree unreadable: {e}")),
     }
@@ -136,21 +159,21 @@ pub fn verify_index(env: &StorageEnv) -> VerifyReport {
     report
 }
 
-/// Walks the vocabulary scan: decodes every entry and fully verifies the
-/// keyword's sequential list chain.
+/// Walks the vocabulary scan: decodes every entry, returning each keyword
+/// with its entry (in keyword order, which the build makes keyword-id
+/// order).
 fn scan_vocabulary(
     env: &StorageEnv,
     vocab: &BTree,
-    table: &crate::leveltable::LevelTable,
-    claimed: &mut HashMap<PageId, String>,
     vocab_counts: &mut HashMap<u32, (String, u64)>,
     report: &mut VerifyReport,
-) {
+) -> Vec<(String, KeywordMeta)> {
+    let mut lists = Vec::new();
     let mut cursor = match vocab.cursor_first(env) {
         Ok(c) => c,
         Err(e) => {
             report.issue(format!("vocabulary scan failed to start: {e}"));
-            return;
+            return lists;
         }
     };
     loop {
@@ -158,7 +181,7 @@ fn scan_vocabulary(
             Ok(e) => e,
             Err(e) => {
                 report.issue(format!("vocabulary scan aborted: {e}"));
-                return;
+                return lists;
             }
         };
         let Some((key, value)) = entry else { break };
@@ -179,82 +202,120 @@ fn scan_vocabulary(
                         meta.kwid
                     ));
                 }
-                verify_keyword_chain(env, &word, &meta, table, claimed, report);
+                lists.push((word, meta));
             }
             Err(e) => report.issue(format!("vocabulary entry for {word:?}: {e}")),
         }
         if let Err(e) = cursor.advance(env) {
             report.issue(format!("vocabulary scan aborted: {e}"));
-            return;
+            return lists;
         }
+    }
+    lists
+}
+
+/// Where a verified keyword list ended, for the tiling check of the next.
+struct ListEnd {
+    word: String,
+    page: PageId,
+    /// Byte offset just past the list's last record.
+    end: usize,
+    /// Payload bytes of `page`.
+    page_len: usize,
+}
+
+/// Reports bytes after a list's last record that no list claims: the
+/// next list neither continued in its last page nor was there one.
+fn check_filled(list: &ListEnd, report: &mut VerifyReport) {
+    if list.end != list.page_len {
+        report.issue(format!(
+            "page {}: {} bytes after keyword {:?}'s list belong to no list",
+            list.page.0,
+            list.page_len - list.end,
+            list.word
+        ));
     }
 }
 
-/// Fully verifies one keyword's sequential list chain: structure, page
-/// ownership, record decode, and document order.
-fn verify_keyword_chain(
+/// Fully verifies one keyword's sequential list — structure, record
+/// decode, document order — and its place in the tiling of the shared
+/// chain after `previous`, the list of the keyword id before it. Returns
+/// where this list ended (`None` when it could not be walked).
+fn verify_keyword_list(
     env: &StorageEnv,
-    word: &str,
+    word: String,
     meta: &KeywordMeta,
     table: &crate::leveltable::LevelTable,
+    previous: Option<ListEnd>,
     claimed: &mut HashMap<PageId, String>,
     report: &mut VerifyReport,
-) {
+) -> Option<ListEnd> {
     if meta.count != meta.handle.entry_count {
         report.issue(format!(
             "keyword {word:?}: frequency {} disagrees with list entry count {}",
             meta.count, meta.handle.entry_count
         ));
     }
-    match inspect_chain(env, &meta.handle) {
-        Ok(info) => {
-            for page in &info.pages {
-                if let Some(other) = claimed.insert(*page, word.to_string()) {
+    let mut last_dewey = None;
+    let mut records = 0u64;
+    let walked = inspect_chain(env, &meta.handle, meta.start, |bytes| {
+        records += 1;
+        match decode_dewey(bytes, table) {
+            Ok(dewey) => {
+                if last_dewey.as_ref().is_some_and(|p| *p >= dewey) {
                     report.issue(format!(
-                        "page {} belongs to both the {other:?} and {word:?} chains",
-                        page.0
+                        "keyword {word:?}: list out of document order at entry {records}"
                     ));
                 }
+                last_dewey = Some(dewey);
+            }
+            Err(e) => {
+                report.issue(format!("keyword {word:?} entry {records} does not decode: {e}"))
             }
         }
+    });
+    // The walk reads exactly the handle's entry count, which the check
+    // above held against the vocabulary's.
+    let info = match walked {
+        Ok(info) => info,
         Err(e) => {
             report.issue(format!("keyword {word:?} list chain: {e}"));
-            return; // no point decoding records off a broken chain
+            return None;
+        }
+    };
+    let start = meta.start as usize;
+    let continues = previous
+        .as_ref()
+        .is_some_and(|p| p.page == meta.handle.head && p.end == start);
+    if !continues {
+        if start != 0 {
+            report.issue(match &previous {
+                Some(p) => format!(
+                    "keyword {word:?} starts at offset {start} of page {}, neither a page start \
+                     nor where {:?} ended (offset {} of page {})",
+                    meta.handle.head.0, p.word, p.end, p.page.0
+                ),
+                None => format!(
+                    "keyword {word:?} starts at offset {start} of page {}, not a page start",
+                    meta.handle.head.0
+                ),
+            });
+        }
+        if let Some(p) = &previous {
+            check_filled(p, report);
         }
     }
-    let mut reader = ListReader::new(&meta.handle);
-    let mut previous = None;
-    let mut records = 0u64;
-    loop {
-        match reader.next_record(env) {
-            Ok(Some(bytes)) => {
-                records += 1;
-                match decode_dewey(&bytes, table) {
-                    Ok(dewey) => {
-                        if previous.as_ref().is_some_and(|p| *p >= dewey) {
-                            report.issue(format!(
-                                "keyword {word:?}: list out of document order at entry {records}"
-                            ));
-                        }
-                        previous = Some(dewey);
-                    }
-                    Err(e) => report
-                        .issue(format!("keyword {word:?} entry {records} does not decode: {e}")),
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                report.issue(format!("keyword {word:?} list read failed: {e}"));
-                break;
-            }
+    // A list continuing in place shares its first page with the list
+    // before it, which already claimed it; every other page is its own.
+    for page in info.pages.iter().skip(usize::from(continues)) {
+        if let Some(other) = claimed.insert(*page, word.clone()) {
+            report.issue(format!(
+                "page {} belongs to both the {other:?} and {word:?} lists",
+                page.0
+            ));
         }
     }
-    if records != meta.count {
-        report.issue(format!(
-            "keyword {word:?}: walked {records} entries, vocabulary claims {}",
-            meta.count
-        ));
-    }
+    Some(ListEnd { word, page: meta.handle.tail, end: info.end, page_len: info.tail_len })
 }
 
 /// Walks the IL tree: splits every composite key, decodes every packed
@@ -323,8 +384,11 @@ fn verify_document(
     let walks = std::iter::once(("document", &chains.base))
         .chain(chains.log.as_ref().map(|log| ("fragment log", log)));
     for (name, handle) in walks {
-        match inspect_chain(env, handle) {
+        match inspect_chain(env, handle, 0, |_| ()) {
             Ok(info) => {
+                if !info.ends_chain() {
+                    report.issue(format!("stored {name} chain runs on past its last record"));
+                }
                 for page in &info.pages {
                     if let Some(other) = claimed.insert(*page, format!("<{name}>")) {
                         report.issue(format!(
@@ -349,6 +413,9 @@ fn verify_document(
 mod tests {
     use super::*;
     use crate::diskindex::build_disk_index;
+
+    /// Vocabulary entry bytes before the start offset was added.
+    const LEGACY_ENTRY: usize = 36;
     use xk_storage::EnvOptions;
     use xk_xmltree::school_example;
 
@@ -397,6 +464,102 @@ mod tests {
             "issues: {:?}",
             report.issues
         );
+    }
+
+    /// Rewrites the vocabulary with `edit` applied to every entry.
+    fn edit_vocabulary(env: &StorageEnv, mut edit: impl FnMut(&[u8], &mut KeywordMeta)) {
+        let vocab = BTree::open(env, SLOT_VOCAB).unwrap();
+        let mut entries = Vec::new();
+        let mut c = vocab.cursor_first(env).unwrap();
+        while let Some((k, v)) = c.read(env).unwrap() {
+            let mut meta = KeywordMeta::decode(&v).unwrap();
+            edit(&k, &mut meta);
+            entries.push((k, meta.encode().to_vec()));
+            c.advance(env).unwrap();
+        }
+        BTree::bulk_load(env, SLOT_VOCAB, entries).unwrap();
+    }
+
+    fn meta_of(env: &StorageEnv, word: &str) -> KeywordMeta {
+        let vocab = BTree::open(env, SLOT_VOCAB).unwrap();
+        KeywordMeta::decode(&vocab.get(env, word.as_bytes()).unwrap().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn built_lists_are_packed_into_shared_pages() {
+        let env = built_env(false);
+        let john = meta_of(&env, "john");
+        assert!(john.start > 0, "john's short list continues in a page before it");
+        let report = verify_index(&env);
+        assert!(report.is_ok(), "issues: {:?}", report.issues);
+        assert!(report.list_pages < report.keyword_count as u64, "lists share pages");
+    }
+
+    #[test]
+    fn start_offset_off_the_tiling_is_reported() {
+        let env = built_env(false);
+        // Drop john's first record by starting the list one record later:
+        // every record left still reads, but the list no longer begins
+        // where the list before it ended.
+        let john = meta_of(&env, "john");
+        let mut reader = xk_storage::ListReader::starting_at(&john.handle, john.start);
+        let first = 2 + reader.next_record(&env).unwrap().unwrap().len();
+        edit_vocabulary(&env, |k, meta| {
+            if k == b"john" {
+                meta.start += first as u16;
+                meta.count -= 1;
+                meta.handle.entry_count -= 1;
+                meta.handle.total_bytes -= first as u64;
+            }
+        });
+        let report = verify_index(&env);
+        assert!(
+            report.issues.iter().any(|i| i.contains("\"john\" starts at offset")),
+            "issues: {:?}",
+            report.issues
+        );
+        assert!(
+            report.issues.iter().any(|i| i.contains("belong to no list")),
+            "the skipped record is claimed by no list: {:?}",
+            report.issues
+        );
+    }
+
+    #[test]
+    fn non_adjacent_lists_sharing_a_page_are_reported() {
+        let env = built_env(false);
+        // Point the vocabulary's last keyword at the first keyword's list:
+        // both walk cleanly, but two lists that are not neighbours in
+        // keyword-id order now claim the same page.
+        let vocab = BTree::open(&env, SLOT_VOCAB).unwrap();
+        let mut metas = Vec::new();
+        let mut c = vocab.cursor_first(&env).unwrap();
+        while let Some((_, v)) = c.read(&env).unwrap() {
+            metas.push(KeywordMeta::decode(&v).unwrap());
+            c.advance(&env).unwrap();
+        }
+        let first = *metas.iter().min_by_key(|m| m.kwid).unwrap();
+        let last_kwid = metas.iter().map(|m| m.kwid).max().unwrap();
+        edit_vocabulary(&env, |_, meta| {
+            if meta.kwid == last_kwid {
+                *meta = KeywordMeta { kwid: last_kwid, ..first };
+            }
+        });
+        let report = verify_index(&env);
+        assert!(
+            report.issues.iter().any(|i| i.contains("belongs to both")),
+            "issues: {:?}",
+            report.issues
+        );
+    }
+
+    #[test]
+    fn legacy_vocabulary_entries_decode_with_offset_zero() {
+        let env = built_env(false);
+        let john = meta_of(&env, "john");
+        let legacy = &john.encode()[..LEGACY_ENTRY];
+        assert_eq!(KeywordMeta::decode(legacy).unwrap(), KeywordMeta { start: 0, ..john });
+        assert!(KeywordMeta::decode(&john.encode()[..LEGACY_ENTRY + 1]).is_err());
     }
 
     #[test]

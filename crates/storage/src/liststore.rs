@@ -2,11 +2,18 @@
 //!
 //! Section 4 of the paper describes a second B-tree layout for the Scan
 //! Eager and Stack algorithms, where each keyword's node list is read
-//! front-to-back. Here that layout is a chain of pages per list: each page
-//! holds `[next page (4) | payload length (2) | payload]`. Reading a list
-//! of `|S|` compressed entries costs `ceil(|S| / B)` disk accesses, which
-//! is exactly the term the paper's disk-access analysis charges the
-//! scanning algorithms per list.
+//! front-to-back. Here that layout is a page chain: each page holds
+//! `[next page (4) | payload length (2) | payload]`, and the payload is a
+//! run of `[length (2) | record]` frames. A chain holds one list, or many
+//! lists back to back ([`ListWriter::write_list`]): a list starts in the
+//! current page when all of it fits in the space left there, and on a
+//! fresh page otherwise. Either way a list of `|S|` compressed entries
+//! spans the `ceil(|S| / B)` pages it would span alone, so reading it
+//! costs exactly the disk accesses the paper's analysis charges the
+//! scanning algorithms per list; only partly filled tail pages are
+//! shared, each by consecutive lists. A packed list is located by its
+//! [`ListHandle`] plus the byte offset of its first record in the head
+//! page ([`ListReader::starting_at`]).
 
 use crate::env::StorageEnv;
 use crate::error::{Result, StorageError};
@@ -17,9 +24,10 @@ const LIST_HDR: usize = 6; // next(4) + len(2)
 /// Location and size of a stored list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ListHandle {
-    /// First page of the chain.
+    /// First page of the list.
     pub head: PageId,
-    /// Last page of the chain (where [`ListAppender`] continues).
+    /// Last page of the list: the chain's last page for a chain holding
+    /// one list (where [`ListAppender`] continues it).
     pub tail: PageId,
     /// Total payload bytes across the chain.
     pub total_bytes: u64,
@@ -60,39 +68,51 @@ impl ListHandle {
     }
 }
 
-/// Streaming writer that builds a page chain.
+/// Streaming writer of a page chain holding one list
+/// ([`ListWriter::append`], then [`ListWriter::finish`]) or several lists
+/// packed back to back ([`ListWriter::write_list`] per list, then
+/// [`ListWriter::finish`] to write the last page).
 pub struct ListWriter {
-    head: Option<PageId>,
-    current: Option<PageId>,
-    /// Bytes buffered for the current page.
+    /// The page being filled: allocated up front, so a list starting in
+    /// it knows its head; its payload is buffered and written once, when
+    /// the chain moves past it (the `next` link is known by then).
+    page: Option<PageId>,
     buffer: Vec<u8>,
     payload_capacity: usize,
+    /// Head page and byte offset of the list being written, set by its
+    /// first record.
+    start: Option<(PageId, u16)>,
     total_bytes: u64,
     entry_count: u64,
 }
 
 impl ListWriter {
-    /// Starts a new list in `env`.
+    /// Starts a new chain in `env`.
     pub fn new(env: &StorageEnv) -> ListWriter {
         ListWriter {
-            head: None,
-            current: None,
+            page: None,
             buffer: Vec::new(),
             payload_capacity: env.page_size() - LIST_HDR,
+            start: None,
             total_bytes: 0,
             entry_count: 0,
         }
     }
 
-    /// Appends one logical entry (a length-prefixed byte record).
+    /// Appends one logical entry (a length-prefixed byte record) to the
+    /// list being written.
     pub fn append(&mut self, env: &StorageEnv, record: &[u8]) -> Result<()> {
         assert!(
             record.len() + 2 <= self.payload_capacity,
             "record larger than a page payload"
         );
         let framed_len = 2 + record.len();
-        if self.buffer.len() + framed_len > self.payload_capacity {
-            self.flush_page(env, false)?;
+        let page = match self.page {
+            Some(page) if self.buffer.len() + framed_len <= self.payload_capacity => page,
+            _ => self.fresh_page(env)?,
+        };
+        if self.start.is_none() {
+            self.start = Some((page, self.buffer.len() as u16));
         }
         self.buffer.extend_from_slice(&(record.len() as u16).to_le_bytes());
         self.buffer.extend_from_slice(record);
@@ -101,40 +121,76 @@ impl ListWriter {
         Ok(())
     }
 
-    // xk-analyze: allow(panic_path, reason = "append() seals the buffer before it can exceed the page payload, so LIST_HDR + buffer.len() fits the page")
-    fn flush_page(&mut self, env: &StorageEnv, last: bool) -> Result<()> {
+    /// Writes one whole list after the lists written before it and
+    /// returns its handle and the byte offset of its first record in the
+    /// head page. The list starts in the current page when all of it fits
+    /// in the space left there, and on a fresh page otherwise, so it spans
+    /// exactly the pages a chain of its own would.
+    pub fn write_list<I>(&mut self, env: &StorageEnv, records: I) -> Result<(ListHandle, u16)>
+    where
+        I: IntoIterator,
+        I::IntoIter: Clone,
+        I::Item: AsRef<[u8]>,
+    {
+        let records = records.into_iter();
+        let bytes: usize = records.clone().map(|r| 2 + r.as_ref().len()).sum();
+        if self.page.is_none() || self.buffer.len() + bytes > self.payload_capacity {
+            self.fresh_page(env)?;
+        }
+        for r in records {
+            self.append(env, r.as_ref())?;
+        }
+        self.end_list(env)
+    }
+
+    /// Ends the list being written: its handle and start offset. An
+    /// empty list sits where the chain stands.
+    fn end_list(&mut self, env: &StorageEnv) -> Result<(ListHandle, u16)> {
+        let tail = match self.page {
+            Some(page) => page,
+            None => self.fresh_page(env)?,
+        };
+        let (head, offset) = self.start.take().unwrap_or((tail, self.buffer.len() as u16));
+        let handle = ListHandle {
+            head,
+            tail,
+            total_bytes: std::mem::take(&mut self.total_bytes),
+            entry_count: std::mem::take(&mut self.entry_count),
+        };
+        Ok((handle, offset))
+    }
+
+    /// Moves the chain onto a freshly allocated page.
+    fn fresh_page(&mut self, env: &StorageEnv) -> Result<PageId> {
         let page = env.allocate_page()?;
-        if self.head.is_none() {
-            self.head = Some(page);
-        }
-        if let Some(prev) = self.current {
-            // Patch the previous page's next pointer.
-            env.with_page_mut(prev, |p| {
-                p[..4].copy_from_slice(&page.0.to_le_bytes());
-            })?;
-        }
-        let buffer = std::mem::take(&mut self.buffer);
+        self.store_page(env, Some(page))?;
+        self.page = Some(page);
+        Ok(page)
+    }
+
+    /// Writes the page being filled (if any), linked to `next`.
+    // xk-analyze: allow(panic_path, reason = "append() moves to a fresh page before the buffer can exceed the page payload, so LIST_HDR + buffer.len() fits the page")
+    fn store_page(&mut self, env: &StorageEnv, next: Option<PageId>) -> Result<()> {
+        let Some(page) = self.page else { return Ok(()) };
+        let buffer = &self.buffer;
         env.with_page_mut(page, |p| {
-            p[..4].copy_from_slice(&PageId::NONE_RAW.to_le_bytes());
+            p[..4].copy_from_slice(&PageId::encode_opt(next).to_le_bytes());
             p[4..6].copy_from_slice(&(buffer.len() as u16).to_le_bytes());
-            p[LIST_HDR..LIST_HDR + buffer.len()].copy_from_slice(&buffer);
+            p[LIST_HDR..LIST_HDR + buffer.len()].copy_from_slice(buffer);
         })?;
-        self.current = Some(page);
-        let _ = last;
+        self.buffer.clear();
         Ok(())
     }
 
-    /// Finishes the list and returns its handle. An empty list still
-    /// occupies one (empty) page so the handle is always valid.
-    // xk-analyze: allow(panic_path, reason = "flush_page unconditionally sets head and current before these expects run")
+    /// Ends the list being written, writes the last page, and returns
+    /// that list's handle. A list with no records still occupies a page
+    /// (an empty one when the chain has no other), so the handle is
+    /// always valid. After [`ListWriter::write_list`] the list being
+    /// written is an empty one at the chain's end.
     pub fn finish(mut self, env: &StorageEnv) -> Result<ListHandle> {
-        self.flush_page(env, true)?;
-        Ok(ListHandle {
-            head: self.head.expect("flush_page sets head"),
-            tail: self.current.expect("flush_page sets current"),
-            total_bytes: self.total_bytes,
-            entry_count: self.entry_count,
-        })
+        let (handle, _) = self.end_list(env)?;
+        self.store_page(env, None)?;
+        Ok(handle)
     }
 }
 
@@ -233,11 +289,21 @@ pub fn append_records<R: AsRef<[u8]>>(
 /// Streaming reader over a page chain. Each page is fetched through the
 /// buffer pool exactly once per pass, so sequential consumption of a list
 /// of `N` pages costs `N` logical reads (and `N` disk reads when cold).
+///
+/// Fails closed on a crafted chain: every page visited while entries
+/// remain must yield a record, and a list visits no more pages than the
+/// file holds, so a read never spins.
 pub struct ListReader {
     next_page: Option<PageId>,
+    /// Byte offset of the list's first record in its head page, applied
+    /// when that page loads.
+    start: usize,
+    /// Page the buffered payload came from.
+    page: Option<PageId>,
     page_buf: Vec<u8>,
     page_len: usize,
     offset: usize,
+    pages_read: u64,
     remaining_entries: u64,
     total_entries: u64,
 }
@@ -245,11 +311,20 @@ pub struct ListReader {
 impl ListReader {
     /// Opens a reader at the head of `handle`'s chain.
     pub fn new(handle: &ListHandle) -> ListReader {
+        ListReader::starting_at(handle, 0)
+    }
+
+    /// Opens a reader at byte offset `start` of `handle`'s head page,
+    /// where a packed list begins ([`ListWriter::write_list`]).
+    pub fn starting_at(handle: &ListHandle, start: u16) -> ListReader {
         ListReader {
             next_page: Some(handle.head),
+            start: start as usize,
+            page: None,
             page_buf: Vec::new(),
             page_len: 0,
             offset: 0,
+            pages_read: 0,
             remaining_entries: handle.entry_count,
             total_entries: handle.entry_count,
         }
@@ -301,6 +376,12 @@ impl ListReader {
                     self.remaining_entries, self.total_entries
                 )));
             };
+            if self.pages_read >= u64::from(env.page_count()) {
+                return Err(StorageError::Corrupt(format!(
+                    "list chain visits more than the file's {} pages (cycle?)",
+                    env.page_count()
+                )));
+            }
             let (next, len, data) = env.with_page(page, |p| {
                 let next = PageId::decode_opt(u32::from_le_bytes(
                     p[..4].try_into().expect("4-byte next link"),
@@ -316,10 +397,28 @@ impl ListReader {
                 }
                 Ok((next, len, p[LIST_HDR..LIST_HDR + len].to_vec()))
             })??;
+            let offset = std::mem::take(&mut self.start);
+            if offset >= len {
+                // In a valid chain every page visited while entries
+                // remain holds at least one of them.
+                return Err(StorageError::Corrupt(if offset > len {
+                    format!(
+                        "list starts at offset {offset}, past page {}'s {len}-byte payload",
+                        page.0
+                    )
+                } else {
+                    format!(
+                        "list page {} holds no record at offset {offset} with {} of {} entries unread",
+                        page.0, self.remaining_entries, self.total_entries
+                    )
+                }));
+            }
+            self.pages_read += 1;
             self.next_page = next;
+            self.page = Some(page);
             self.page_len = len;
             self.page_buf = data;
-            self.offset = 0;
+            self.offset = offset;
         }
     }
 }
@@ -347,90 +446,104 @@ pub fn free_list(env: &StorageEnv, handle: &ListHandle) -> Result<()> {
     Ok(())
 }
 
-/// What [`inspect_chain`] learned about a list chain.
-#[derive(Debug, Default, Clone)]
+/// What [`inspect_chain`] learned about a list.
+#[derive(Debug, Clone)]
 pub struct ChainInfo {
-    /// Every page of the chain, head to tail, in link order.
+    /// The pages the list's records occupy, head to tail (the head alone
+    /// for an empty list).
     pub pages: Vec<PageId>,
     /// Framed payload bytes actually present (length prefixes included),
     /// comparable to [`ListHandle::total_bytes`].
     pub payload_bytes: u64,
-    /// Records actually present, comparable to [`ListHandle::entry_count`].
-    pub records: u64,
+    /// Byte offset just past the list's last record in its tail page.
+    pub end: usize,
+    /// Payload bytes the tail page holds. Above `end`, the bytes after
+    /// the list belong to the next list packed into the chain.
+    pub tail_len: usize,
+    /// The tail page's `next` link.
+    pub tail_next: Option<PageId>,
 }
 
-/// Walks a chain front to back, validating structure as it goes: link
-/// reachability, per-page payload lengths, record framing, and the
-/// absence of cycles (bounded by the file's page count). Returns what it
-/// found so callers (e.g. `xksearch verify`) can cross-check the handle's
-/// claimed tail, byte total, and entry count.
-pub fn inspect_chain(env: &StorageEnv, handle: &ListHandle) -> Result<ChainInfo> {
-    let mut info = ChainInfo::default();
-    let limit = env.page_count() as usize;
-    let mut cur = Some(handle.head);
-    while let Some(page) = cur {
-        if info.pages.len() >= limit {
-            return Err(StorageError::Corrupt(format!(
-                "list chain starting at page {} exceeds the file's {limit} pages (cycle?)",
-                handle.head.0
-            )));
-        }
-        let step = env.with_page(page, |p| {
-            let next =
-                PageId::decode_opt(u32::from_le_bytes(p[..4].try_into().expect("4-byte next link")));
-            let len =
-                u16::from_le_bytes(p[4..6].try_into().expect("2-byte list length")) as usize;
-            if LIST_HDR + len > p.len() {
+impl ChainInfo {
+    /// True when nothing follows the list: its records fill the tail
+    /// page and the chain ends there.
+    pub fn ends_chain(&self) -> bool {
+        self.end == self.tail_len && self.tail_next.is_none()
+    }
+}
+
+/// Walks exactly `handle.entry_count` records of the list starting at
+/// byte `start` of the head page, handing each to `visit`, and validates
+/// what it passes: page payload lengths, record framing, and no page
+/// visited twice. It never follows links past the list's last record, so
+/// checking every list of a packed chain costs one pass over the chain.
+/// Returns what it found so callers (e.g. `xksearch verify`) can check
+/// how lists tile the chain; the handle's tail and byte total are checked
+/// here.
+// xk-analyze: allow(panic_path, reason = "fixed 2- and 4-byte slices of the page header cannot fail try_into")
+pub fn inspect_chain(
+    env: &StorageEnv,
+    handle: &ListHandle,
+    start: u16,
+    mut visit: impl FnMut(&[u8]),
+) -> Result<ChainInfo> {
+    let mut reader = ListReader::starting_at(handle, start);
+    let mut info = ChainInfo {
+        pages: Vec::new(),
+        payload_bytes: 0,
+        end: start as usize,
+        tail_len: 0,
+        tail_next: None,
+    };
+    let mut seen = std::collections::HashSet::new();
+    while let Some(record) = reader.next_record(env)? {
+        // Each page load adds one page, so a record from a newly loaded
+        // page finds fewer pages listed than loaded.
+        let loaded = reader.pages_read > info.pages.len() as u64;
+        if let Some(page) = reader.page.filter(|_| loaded) {
+            if !seen.insert(page) {
                 return Err(StorageError::Corrupt(format!(
-                    "list page {} claims {len} payload bytes, capacity is {}",
-                    page.0,
-                    p.len() - LIST_HDR
+                    "list starting at page {} revisits page {} (cycle)",
+                    handle.head.0, page.0
                 )));
             }
-            // Re-frame the records to validate their lengths.
-            let mut offset = 0usize;
-            let mut records = 0u64;
-            while offset < len {
-                if offset + 2 > len {
-                    return Err(StorageError::Corrupt(format!(
-                        "list page {}: record header at offset {offset} overruns payload of {len} bytes",
-                        page.0
-                    )));
-                }
-                let rec_len = u16::from_le_bytes(
-                    p[LIST_HDR + offset..LIST_HDR + offset + 2]
-                        .try_into()
-                        .expect("2-byte record length"),
-                ) as usize;
-                offset += 2 + rec_len;
-                if offset > len {
-                    return Err(StorageError::Corrupt(format!(
-                        "list page {}: record of {rec_len} bytes overruns payload of {len} bytes",
-                        page.0
-                    )));
-                }
-                records += 1;
-            }
-            Ok((next, len as u64, records))
-        })??;
-        let (next, page_bytes, page_records) = step;
-        info.pages.push(page);
-        info.payload_bytes += page_bytes;
-        info.records += page_records;
-        cur = next;
+            info.pages.push(page);
+        }
+        info.payload_bytes += 2 + record.len() as u64;
+        visit(&record);
+    }
+    if info.pages.is_empty() {
+        // An empty list reads no page: its place is the head's header.
+        let (next, len) = env.with_page(handle.head, |p| {
+            (
+                PageId::decode_opt(u32::from_le_bytes(p[..4].try_into().expect("4-byte link"))),
+                u16::from_le_bytes(p[4..6].try_into().expect("2-byte length")) as usize,
+            )
+        })?;
+        if info.end > len {
+            return Err(StorageError::Corrupt(format!(
+                "list starts at offset {}, past page {}'s {len}-byte payload",
+                info.end, handle.head.0
+            )));
+        }
+        info.pages.push(handle.head);
+        (info.tail_len, info.tail_next) = (len, next);
+    } else {
+        (info.end, info.tail_len, info.tail_next) =
+            (reader.offset, reader.page_len, reader.next_page);
     }
     if info.pages.last() != Some(&handle.tail) {
         return Err(StorageError::Corrupt(format!(
-            "list chain starting at page {} ends at page {:?}, but the handle claims tail {}",
+            "list starting at page {} ends at page {:?}, but the handle claims tail {}",
             handle.head.0,
             info.pages.last().map(|p| p.0),
             handle.tail.0
         )));
     }
-    if info.payload_bytes != handle.total_bytes || info.records != handle.entry_count {
+    if info.payload_bytes != handle.total_bytes {
         return Err(StorageError::Corrupt(format!(
-            "list chain starting at page {} holds {} records / {} bytes, but the handle claims {} / {}",
-            handle.head.0, info.records, info.payload_bytes, handle.entry_count, handle.total_bytes
+            "list starting at page {} holds {} bytes in its {} records, but the handle claims {}",
+            handle.head.0, info.payload_bytes, handle.entry_count, handle.total_bytes
         )));
     }
     Ok(info)
@@ -636,12 +749,14 @@ mod tests {
             w.append(&env, &i.to_le_bytes()).unwrap();
         }
         let h = w.finish(&env).unwrap();
-        let info = inspect_chain(&env, &h).unwrap();
-        assert_eq!(info.records, 300);
+        let mut records = 0u64;
+        let info = inspect_chain(&env, &h, 0, |_| records += 1).unwrap();
+        assert_eq!(records, 300);
         assert_eq!(info.payload_bytes, h.total_bytes);
         assert_eq!(info.pages.first(), Some(&h.head));
         assert_eq!(info.pages.last(), Some(&h.tail));
         assert!(info.pages.len() > 1, "300 records span several pages");
+        assert!(info.ends_chain());
     }
 
     #[test]
@@ -654,18 +769,82 @@ mod tests {
         let h = w.finish(&env).unwrap();
 
         let lying = ListHandle { entry_count: h.entry_count + 5, ..h };
-        assert!(inspect_chain(&env, &lying).is_err(), "count mismatch detected");
+        assert!(inspect_chain(&env, &lying, 0, |_| ()).is_err(), "count mismatch detected");
 
         let wrong_tail = ListHandle { tail: h.head, ..h };
-        assert!(inspect_chain(&env, &wrong_tail).is_err(), "tail mismatch detected");
+        assert!(inspect_chain(&env, &wrong_tail, 0, |_| ()).is_err(), "tail mismatch detected");
 
-        // Splice the tail's next pointer back to the head: a cycle.
-        env.with_page_mut(h.tail, |p| p[..4].copy_from_slice(&h.head.0.to_le_bytes()))
+        // Splice the third page's next pointer back to the head: a cycle
+        // inside the list (the walk stops at the last record, so a link
+        // out of the tail is not part of the list).
+        let pages = inspect_chain(&env, &h, 0, |_| ()).unwrap().pages;
+        env.with_page_mut(pages[2], |p| p[..4].copy_from_slice(&h.head.0.to_le_bytes()))
             .unwrap();
-        match inspect_chain(&env, &h) {
+        match inspect_chain(&env, &h, 0, |_| ()) {
             Err(StorageError::Corrupt(msg)) => assert!(msg.contains("cycle"), "{msg}"),
             other => panic!("expected cycle error, got {other:?}"),
         }
+    }
+
+    /// Lists packed into one chain: a list that fits in the current
+    /// page's free space starts there, a larger one starts a fresh page.
+    #[test]
+    fn packed_lists_share_only_tail_pages() {
+        let env = mem_env();
+        let payload = env.page_size() - LIST_HDR;
+        let lists: Vec<Vec<Vec<u8>>> = [3usize, 1, 40, 0, 2, 25, 5]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (0..n).map(|j| vec![(i * 31 + j) as u8; 10]).collect())
+            .collect();
+        let mut w = ListWriter::new(&env);
+        let placed: Vec<(ListHandle, u16)> =
+            lists.iter().map(|l| w.write_list(&env, l).unwrap()).collect();
+        w.finish(&env).unwrap();
+
+        let mut used = 0usize; // bytes used in the previous list's tail page
+        let mut prev_tail = None;
+        for (list, &(h, start)) in lists.iter().zip(&placed) {
+            let bytes = list.len() * 12;
+            let info = inspect_chain(&env, &h, start, |_| ()).unwrap();
+            let alone = bytes.div_ceil(12 * (payload / 12)).max(1);
+            assert_eq!(info.pages.len(), alone, "same page count as a chain of its own");
+            if prev_tail.is_some() && used + bytes <= payload {
+                assert_eq!((Some(h.head), start as usize), (prev_tail, used), "continues in place");
+            } else {
+                assert_eq!(start, 0, "starts a fresh page");
+                assert_ne!(Some(h.head), prev_tail);
+            }
+            let mut r = ListReader::starting_at(&h, start);
+            for expect in list {
+                assert_eq!(&r.next_record(&env).unwrap().unwrap(), expect);
+            }
+            assert_eq!(r.next_record(&env).unwrap(), None);
+            (prev_tail, used) = (Some(h.tail), info.end);
+        }
+        let last = placed.last().unwrap();
+        assert!(inspect_chain(&env, &last.0, last.1, |_| ()).unwrap().ends_chain());
+    }
+
+    #[test]
+    fn self_links_and_starts_past_the_payload_are_corrupt() {
+        let env = mem_env();
+        let mut w = ListWriter::new(&env);
+        w.append(&env, b"abc").unwrap();
+        let h = w.finish(&env).unwrap();
+        // A page linked to itself is a cycle, even one page long.
+        env.with_page_mut(h.head, |p| p[..4].copy_from_slice(&h.head.0.to_le_bytes())).unwrap();
+        let twice = ListHandle { entry_count: 2, total_bytes: 10, ..h };
+        match inspect_chain(&env, &twice, 0, |_| ()) {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("cycle"), "{msg}"),
+            other => panic!("expected cycle error, got {other:?}"),
+        }
+        let mut r = ListReader::starting_at(&h, 6);
+        assert!(matches!(r.next_record(&env), Err(StorageError::Corrupt(_))));
+        let mut r = ListReader::starting_at(&h, 5);
+        assert!(matches!(r.next_record(&env), Err(StorageError::Corrupt(_))));
+        assert!(inspect_chain(&env, &ListHandle { entry_count: 0, total_bytes: 0, ..h }, 9, |_| ())
+            .is_err());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! restamped and stay valid) and require every hot-path read to report
 //! `StorageError::Corrupt` instead of panicking or silently truncating.
 
+use std::sync::Arc;
 use xk_storage::{
-    BTree, EnvOptions, ListReader, ListWriter, PageId, StorageEnv, StorageError,
+    BTree, EnvOptions, ListHandle, ListReader, ListWriter, PageId, StorageEnv, StorageError,
 };
 
 fn mem_env() -> StorageEnv {
@@ -121,4 +122,75 @@ fn overlong_entry_count_is_corrupt_not_short() {
     };
     assert!(matches!(err, StorageError::Corrupt(_)), "got {err:?}");
     assert_eq!(read, 10, "the real records still read back first");
+}
+
+/// Reads `handle` from `start` to the end on another thread and returns
+/// the outcome, failing the test if the read has not finished in a few
+/// seconds: a crafted chain must fail closed, never spin.
+fn read_all_bounded(
+    env: Arc<StorageEnv>,
+    handle: ListHandle,
+    start: u16,
+) -> Result<usize, StorageError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut reader = ListReader::starting_at(&handle, start);
+        let mut read = 0usize;
+        let outcome = loop {
+            match reader.next_record(&env) {
+                Ok(Some(_)) => read += 1,
+                Ok(None) => break Ok(read),
+                Err(e) => break Err(e),
+            }
+        };
+        // The receiver is gone only once the timeout failed the test.
+        let _ = tx.send(outcome);
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(5))
+        .expect("list read did not finish: it spins on the crafted chain")
+}
+
+/// A checksum-valid page with no payload whose `next` link points to
+/// itself: the reader must report it rather than loop on it forever.
+#[test]
+fn recordless_self_linked_page_is_corrupt_not_a_spin() {
+    let env = mem_env();
+    let handle = list_with_records(&env, 10);
+    env.with_page_mut(handle.head, |p| {
+        p[..4].copy_from_slice(&handle.head.0.to_le_bytes());
+        p[4..6].copy_from_slice(&0u16.to_le_bytes());
+    })
+    .unwrap();
+    let got = read_all_bounded(Arc::new(env), handle, 0);
+    assert!(matches!(got, Err(StorageError::Corrupt(_))), "got {got:?}");
+}
+
+/// A cycle of pages that all hold records, behind an entry count no file
+/// could hold: the reader stops once it has visited more pages than the
+/// file has.
+#[test]
+fn record_bearing_cycle_with_huge_count_is_corrupt() {
+    let env = mem_env();
+    let mut handle = list_with_records(&env, 100);
+    env.with_page_mut(handle.tail, |p| {
+        p[..4].copy_from_slice(&handle.head.0.to_le_bytes());
+    })
+    .unwrap();
+    handle.entry_count = u64::MAX;
+    let got = read_all_bounded(Arc::new(env), handle, 0);
+    assert!(matches!(got, Err(StorageError::Corrupt(_))), "got {got:?}");
+}
+
+/// A packed list's start offset must land on a record inside its head
+/// page's payload: past it, or exactly at its end, is corrupt.
+#[test]
+fn start_offset_past_the_payload_is_corrupt() {
+    let env = mem_env();
+    let handle = list_with_records(&env, 3);
+    let payload = env.with_page(handle.head, |p| u16::from_le_bytes([p[4], p[5]])).unwrap();
+    let env = Arc::new(env);
+    for start in [payload, payload + 1, u16::MAX] {
+        let got = read_all_bounded(Arc::clone(&env), handle, start);
+        assert!(matches!(got, Err(StorageError::Corrupt(_))), "start {start}: got {got:?}");
+    }
 }

@@ -77,11 +77,22 @@ fn thousand_byte_flips_never_panic_and_never_lie() {
 /// then every subsequent write fails) must leave a file that
 /// `StorageEnv::open` refuses — the dirty flag or a checksum gives it
 /// away — so a half-built index can never be mistaken for a real one.
+/// Every page write of the build (write ops `0..writes`) is a crash
+/// point.
 #[test]
 fn crashed_build_leaves_an_unopenable_file() {
     let dir = temp_dir("torn-build");
+    let writes = {
+        let pager = FilePager::create(&dir.join("clean.db"), 512).unwrap();
+        let fault = FaultPager::new(Box::new(pager), FaultConfig::none());
+        let probe = fault.probe();
+        let env = StorageEnv::create_with_pager(Box::new(fault), 64).unwrap();
+        xk_index::build_disk_index(&env, &school_example(), true).unwrap();
+        probe.writes()
+    };
+    assert!(writes >= 5, "a build writes several pages, got {writes}");
     let mut rejected = 0;
-    for torn_at in 1u64..15 {
+    for torn_at in 0..writes {
         let path = dir.join(format!("torn-{torn_at}.db"));
         let pager = FilePager::create(&path, 512).unwrap();
         let fault = FaultPager::new(
@@ -97,7 +108,7 @@ fn crashed_build_leaves_an_unopenable_file() {
         assert!(reopen.is_err(), "torn-at-{torn_at} file must not be accepted");
         rejected += 1;
     }
-    assert_eq!(rejected, 14);
+    assert_eq!(rejected, writes);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
