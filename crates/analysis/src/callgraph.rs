@@ -1,10 +1,8 @@
 //! The workspace call graph: per-call-site candidate resolution plus
-//! whole-graph reachability, shared by the protocol-aware passes
-//! (`durability_order`, `reactor_blocking`).
+//! whole-graph reachability, shared by every pass.
 //!
-//! Resolution refines the name + arity + dependency-closure scheme the
-//! per-function passes use with what the token model knows about
-//! receivers:
+//! Resolution refines a name + arity + dependency-closure scheme with
+//! what the token model knows about receivers:
 //!
 //! 1. **Path calls** `Type::name(..)` restrict to that type's methods
 //!    when the type has workspace impls.
@@ -283,6 +281,19 @@ mod tests {
         let mut want = vec![fid(&m, "DirIo::finalize"), fid(&m, "MemIo::finalize")];
         want.sort_unstable();
         assert_eq!(cg.adj[seal], want);
+    }
+
+    #[test]
+    fn trait_field_skips_same_named_non_impls() {
+        let (m, cg) = graph_of(
+            "trait Pager { fn write_page(&self, id: u32); }\n\
+             struct MemPager; impl Pager for MemPager { fn write_page(&self, _id: u32) {} }\n\
+             struct ListWriter; impl ListWriter { fn write_page(&self, _id: u32) {} }\n\
+             struct Env { pager: Box<dyn Pager> }\n\
+             impl Env { fn flush(&self) { self.pager.write_page(1); } }",
+        );
+        let flush = fid(&m, "Env::flush");
+        assert_eq!(cg.adj[flush], vec![fid(&m, "MemPager::write_page")]);
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //! * `swallowed_result` — flags `let _ = <fallible>`, `.ok()` in
 //!   statement position, and `Err(_) => {}` arms.
 //!
-//! Call resolution is name + arity + dependency-closure based: a call
-//! `name(a, b)` resolves to every workspace function `name` with two
-//! non-self parameters defined in a crate the caller's crate (transitively)
-//! depends on. Ambiguity unions the candidates' effects — conservative
-//! over-approximation, never silent under-approximation.
+//! Every pass resolves calls through the one workspace [`CallGraph`]:
+//! name + arity + dependency closure, narrowed by what the token model
+//! knows about receivers (a call on a trait-object field reaches only
+//! that trait's implementors). Ambiguity unions the candidates' effects
+//! — conservative over-approximation. The one deliberate gap: a call on
+//! a field whose type is a known non-workspace type ident — a std type
+//! or a generic parameter such as `S` in `Conn<S>` — is treated as
+//! external and reaches no workspace callee, even when the parameter's
+//! bound is a workspace trait; only the builtin effect tables (syncs,
+//! renames, pager I/O by name) see such a call.
 
+use crate::callgraph::CallGraph;
 use crate::model::{Event, LockKind, Model};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -93,17 +99,17 @@ struct Summary {
 
 pub struct Analysis<'m> {
     model: &'m Model,
-    /// Dependency closure (crate indices) per crate.
-    closures: Vec<Vec<usize>>,
+    cg: &'m CallGraph,
     summaries: Vec<Summary>,
     /// Names of guard-returning helper functions (`shard`, `write_lock`).
     guard_helpers: BTreeSet<String>,
 }
 
 pub fn run(model: &Model, closures: Vec<Vec<usize>>) -> Vec<Finding> {
+    let cg = CallGraph::build(model, &closures);
     let mut analysis = Analysis {
         model,
-        closures,
+        cg: &cg,
         summaries: Vec::new(),
         guard_helpers: BTreeSet::new(),
     };
@@ -120,8 +126,6 @@ pub fn run(model: &Model, closures: Vec<Vec<usize>>) -> Vec<Finding> {
     analysis.lock_passes(&mut findings);
     analysis.panic_path(&mut findings);
     analysis.swallowed_result(&mut findings);
-    // The protocol passes run over the call graph's refined resolution.
-    let cg = crate::callgraph::CallGraph::build(model, &analysis.closures);
     let guard_class: Vec<Option<usize>> =
         analysis.summaries.iter().map(|s| s.guard_class).collect();
     crate::protocol::ProtocolPasses { model, cg: &cg, guard_class: &guard_class }
@@ -150,16 +154,13 @@ struct Held {
 }
 
 impl<'m> Analysis<'m> {
-    /// Candidate callee ids for a call `name(args)` made from `krate`.
-    fn resolve(&self, krate: usize, name: &str, args: u8) -> Vec<usize> {
-        let Some(ids) = self.model.by_name.get(name) else { return Vec::new() };
-        ids.iter()
-            .copied()
-            .filter(|&id| {
-                let f = &self.model.functions[id];
-                f.arity == args && self.closures[krate].contains(&f.krate)
-            })
-            .collect()
+    /// Candidate callee ids of the call at event `ev` of function `fid`.
+    fn callees(&self, fid: usize, ev: usize) -> &[usize] {
+        let sites = &self.cg.sites[fid];
+        match sites.binary_search_by_key(&ev, |s| s.ev) {
+            Ok(i) => &sites[i].callees,
+            Err(_) => &[],
+        }
     }
 
     fn compute_summaries(&mut self) {
@@ -192,28 +193,22 @@ impl<'m> Analysis<'m> {
         // Propagate across calls to a fixpoint.
         loop {
             let mut changed = false;
-            for (id, f) in model.functions.iter().enumerate() {
-                for ev in &f.events {
-                    let Event::Call { name, args, .. } = ev else { continue };
-                    for callee in self.resolve(f.krate, name, *args) {
-                        if callee == id {
-                            continue;
-                        }
-                        let (acq, io, guard) = {
-                            let c = &sums[callee];
-                            (c.may_acquire.clone(), c.reaches_io, c.guard_class)
-                        };
-                        let s = &mut sums[id];
-                        for class in acq {
-                            changed |= s.may_acquire.insert(class);
-                        }
-                        if let Some(g) = guard {
-                            changed |= s.may_acquire.insert(g);
-                        }
-                        if io && !s.reaches_io {
-                            s.reaches_io = true;
-                            changed = true;
-                        }
+            for id in 0..model.functions.len() {
+                for &callee in &self.cg.adj[id] {
+                    let (acq, io, guard) = {
+                        let c = &sums[callee];
+                        (c.may_acquire.clone(), c.reaches_io, c.guard_class)
+                    };
+                    let s = &mut sums[id];
+                    for class in acq {
+                        changed |= s.may_acquire.insert(class);
+                    }
+                    if let Some(g) = guard {
+                        changed |= s.may_acquire.insert(g);
+                    }
+                    if io && !s.reaches_io {
+                        s.reaches_io = true;
+                        changed = true;
                     }
                 }
             }
@@ -247,7 +242,7 @@ impl<'m> Analysis<'m> {
             let file = &self.model.files[f.file];
             let mut held: Vec<Held> = Vec::new();
             let mut pending_let: Option<(Vec<String>, u32)> = None;
-            for ev in &f.events {
+            for (ev_idx, ev) in f.events.iter().enumerate() {
                 match ev {
                     Event::LetBind { names, .. } => {
                         pending_let = Some((names.clone(), 0));
@@ -267,7 +262,7 @@ impl<'m> Analysis<'m> {
                             pending_let.take().map(|(n, _)| n).unwrap_or_default();
                         held.push(Held { class: *class, depth: *depth, names });
                     }
-                    Event::Call { name, chain, args, depth, line } => {
+                    Event::Call { name, chain, depth, line, .. } => {
                         // A call through a guard (`lru.insert(..)` where `lru`
                         // is the guard binding, or `self.lock().clear()` where
                         // the chain runs through a guard source) targets the
@@ -279,14 +274,7 @@ impl<'m> Analysis<'m> {
                                 || matches!(c.as_str(), "lock" | "read" | "write")
                                 || self.guard_helpers.contains(c)
                         });
-                        let callees: Vec<usize> = if through_guard {
-                            Vec::new()
-                        } else {
-                            self.resolve(f.krate, name, *args)
-                                .into_iter()
-                                .filter(|&c| c != fid)
-                                .collect()
-                        };
+                        let callees = if through_guard { &[] } else { self.callees(fid, ev_idx) };
                         // A guard-returning helper call is an acquisition.
                         let guard = callees
                             .iter()
@@ -424,13 +412,9 @@ impl<'m> Analysis<'m> {
             reachable[id] = true;
         }
         while let Some(id) = queue.pop_front() {
-            let f = &model.functions[id];
-            for ev in &f.events {
-                let Event::Call { name, args, .. } = ev else { continue };
-                for callee in self.resolve(f.krate, name, *args) {
-                    if !std::mem::replace(&mut reachable[callee], true) {
-                        queue.push_back(callee);
-                    }
+            for &callee in &self.cg.adj[id] {
+                if !std::mem::replace(&mut reachable[callee], true) {
+                    queue.push_back(callee);
                 }
             }
         }
@@ -457,7 +441,7 @@ impl<'m> Analysis<'m> {
     }
 
     fn swallowed_result(&self, out: &mut Vec<Finding>) {
-        for f in &self.model.functions {
+        for (fid, f) in self.model.functions.iter().enumerate() {
             let file = &self.model.files[f.file];
             // `let _ = ...` statement tracking: true between the bind and
             // the closing `;`.
@@ -474,16 +458,16 @@ impl<'m> Analysis<'m> {
                     });
                 }
             };
-            for ev in &f.events {
+            for (ev_idx, ev) in f.events.iter().enumerate() {
                 match ev {
                     Event::LetBind { names, .. } => {
                         discarding = names.len() == 1 && names[0] == "_";
                     }
                     Event::StmtEnd { .. } | Event::BlockClose { .. } => discarding = false,
-                    Event::Call { name, args, line, .. } if discarding => {
+                    Event::Call { name, line, .. } if discarding => {
                         let fallible = BUILTIN_FALLIBLE.contains(&name.as_str())
                             || self
-                                .resolve(f.krate, name, *args)
+                                .callees(fid, ev_idx)
                                 .iter()
                                 .any(|&c| self.summaries[c].returns_result);
                         if fallible {

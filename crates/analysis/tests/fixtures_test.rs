@@ -122,6 +122,14 @@ fn protocol_clean_fixture_has_no_findings() {
     assert_eq!(quads(&fixture("protocol_clean")), Vec::new());
 }
 
+/// A `dyn Pager` call reaches only `Pager` implementors: a non-trait
+/// `write_page` helper that takes the lock held at the call site is no
+/// callee, so no double_lock is reported.
+#[test]
+fn trait_object_call_reaches_only_implementors() {
+    assert_eq!(quads(&fixture("trait_dispatch")), Vec::new());
+}
+
 /// The binary exits 1 on every seeded fixture and 0 on the clean one.
 #[test]
 fn binary_exit_codes() {

@@ -63,7 +63,11 @@ fn main() {
 
     let tree = build_doc(entries);
     let env = StorageEnv::create(&path, options.clone()).unwrap();
-    let keywords = xk_index::build_disk_index(&env, &tree, false).unwrap();
+    let keywords = xk_index::build_disk_index(
+        &env,
+        &tree,
+        &xk_index::BuildOptions { store_document: false, index_postings: true },
+    ).unwrap();
     env.flush().unwrap();
     drop(env);
 

@@ -53,26 +53,8 @@ fn build_seed(dir: &Path, cfg: &Config, classes: &[FrequencyClass]) -> PathBuf {
     };
     let tree = generate(&spec);
     eprintln!("[writepath] seed document: {} nodes", tree.len());
-    // Built directly (not via Engine::build) with the stored document
-    // as the graft target for appends and the generous level-table width
-    // headroom the recorded baseline was measured with, so the seed's
-    // bytes stay comparable across runs. Appends do not depend on the
-    // headroom (their postings go to the segment store).
-    // xk-analyze: allow(swallowed_result, reason = "removing a stale seed is best-effort; create truncates")
-    std::fs::remove_file(&db).ok();
-    let env = xk_storage::StorageEnv::create(&db, options()).expect("create seed env");
-    xk_index::build_disk_index_with(
-        &env,
-        &tree,
-        &xk_index::BuildOptions {
-            store_document: true,
-            level_headroom_bits: 12,
-            extra_levels: 2,
-            ..Default::default()
-        },
-    )
-    .expect("seed index build");
-    env.flush().expect("flush seed");
+    // The stored document is the graft target for appends.
+    drop(Engine::build(&tree, &db, options(), true).expect("seed index build"));
     db
 }
 

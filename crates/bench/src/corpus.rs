@@ -105,9 +105,13 @@ pub fn corpus(scale: Scale, cache_dir: &std::path::Path) -> Corpus {
 
     std::fs::create_dir_all(cache_dir).expect("create cache dir");
     let db: PathBuf = cache_dir.join(format!("corpus_{}.db", scale.tag()));
+    // The cached file is reused only if the current build code wrote it.
+    let stamp = cache_dir.join(format!("corpus_{}.build", scale.tag()));
     let options = EnvOptions { page_size: 4096, pool_pages: 16_384 }; // 64 MiB pool
 
-    if db.exists() {
+    let stamped = std::fs::read_to_string(&stamp)
+        .is_ok_and(|s| s.trim() == xk_index::BUILD_VERSION.to_string());
+    if db.exists() && stamped {
         if let Ok(engine) = Engine::open(&db, options.clone()) {
             // Sanity: the cached index must contain the planted classes.
             let probe = &classes[0].keywords[0];
@@ -116,9 +120,9 @@ pub fn corpus(scale: Scale, cache_dir: &std::path::Path) -> Corpus {
                 return Corpus { engine, classes, scale, db_path: db };
             }
         }
-        // xk-analyze: allow(swallowed_result, reason = "stale cache removal is best-effort; the rebuild truncates on create")
-        std::fs::remove_file(&db).ok();
     }
+    // xk-analyze: allow(swallowed_result, reason = "stale cache removal is best-effort; the rebuild replaces both files")
+    std::fs::remove_file(&stamp).ok();
 
     eprintln!(
         "[corpus] generating {} papers with {} planted keywords ...",
@@ -146,6 +150,7 @@ pub fn corpus(scale: Scale, cache_dir: &std::path::Path) -> Corpus {
     let started = std::time::Instant::now();
     let engine = Engine::build(&tree, &db, options, false).expect("index build");
     engine.with_env(|e| e.flush()).expect("flush");
+    std::fs::write(&stamp, xk_index::BUILD_VERSION.to_string()).expect("write cache stamp");
     eprintln!(
         "[corpus] indexed {} keywords in {:.1?} -> {}",
         engine.index().keyword_count(),

@@ -7,10 +7,12 @@
 //! * **sequential** — front-to-back streaming (Scan Eager, Stack, and the
 //!   `S_1` iteration of every eager algorithm): [`StreamList`].
 //!
-//! [`MemList`] implements both over an in-memory sorted `Vec<Dewey>`.
+//! [`MemList`] implements both over an in-memory sorted `Vec<Dewey>`,
+//! which several lists may share (the engine's mem-segment parts).
 //! Disk-backed implementations live in the `xksearch` crate, adapting the
 //! B+tree (`seek_ge`/`seek_le`) and the sequential list store.
 
+use std::sync::Arc;
 use xk_xmltree::Dewey;
 
 /// Indexed access to a keyword list sorted by Dewey id.
@@ -105,10 +107,11 @@ impl<L: StreamList + ?Sized> StreamList for Box<L> {
     }
 }
 
-/// An in-memory keyword list: a sorted, duplicate-free `Vec<Dewey>`.
+/// An in-memory keyword list: a sorted, duplicate-free `Vec<Dewey>`,
+/// shared behind an `Arc` so a list can be handed out without copying.
 #[derive(Debug, Clone, Default)]
 pub struct MemList {
-    nodes: Vec<Dewey>,
+    nodes: Arc<Vec<Dewey>>,
     pos: usize,
 }
 
@@ -117,11 +120,13 @@ impl MemList {
     pub fn new(mut nodes: Vec<Dewey>) -> MemList {
         nodes.sort();
         nodes.dedup();
-        MemList { nodes, pos: 0 }
+        MemList::from_sorted(nodes)
     }
 
-    /// Builds a list from nodes already sorted and duplicate-free.
-    pub fn from_sorted(nodes: Vec<Dewey>) -> MemList {
+    /// Builds a list from nodes already sorted and duplicate-free, owned
+    /// (`Vec<Dewey>`) or shared (`Arc<Vec<Dewey>>`).
+    pub fn from_sorted(nodes: impl Into<Arc<Vec<Dewey>>>) -> MemList {
+        let nodes = nodes.into();
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must be strictly sorted");
         MemList { nodes, pos: 0 }
     }
@@ -292,6 +297,22 @@ mod tests {
         assert_eq!(l.lm(&d("0.6")), Some(d("0.5")));
         assert_eq!(l.rm(&d("0.0")), Some(d("0.1"))); // before the start
         assert_eq!(l.lm(&d("0.0")), None);
+    }
+
+    #[test]
+    fn shared_list_probes_and_streams_without_copying() {
+        let shared = Arc::new(vec![d("0.1"), d("0.3"), d("0.5")]);
+        let mut l = MemList::from_sorted(Arc::clone(&shared));
+        assert!(std::ptr::eq(l.nodes(), shared.as_slice()));
+        assert_eq!(l.rm(&d("0.2")), Some(d("0.3")));
+        assert_eq!(l.lm(&d("0.2")), Some(d("0.1")));
+        let mut streamed = Vec::new();
+        while let Some(n) = l.next_node() {
+            streamed.push(n);
+        }
+        assert_eq!(streamed, *shared);
+        l.rewind();
+        assert_eq!(l.next_node(), Some(d("0.1")));
     }
 
     #[test]

@@ -210,20 +210,12 @@ pub(crate) fn decode_blob(
     Ok((table, doc, blob[lt_end + 1 + handles * H..].to_vec()))
 }
 
-/// Options for [`build_disk_index_with`].
+/// Options for [`build_disk_index`].
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
     /// Embed the serialized document so answer subtrees can be rendered
     /// from the index file alone.
     pub store_document: bool,
-    /// Extra bits of width per Dewey level beyond the initial document's
-    /// exact fanouts. 0 = exact fit (smallest keys). Appended postings
-    /// live in the segment store, which packs no keys, so this headroom
-    /// only shapes the built bytes.
-    pub level_headroom_bits: u8,
-    /// Additional 8-bit levels beyond the initial document's depth (the
-    /// same caveat applies).
-    pub extra_levels: usize,
     /// Write posting lists into the B+tree layouts (sequential lists +
     /// composite IL keys). `false` leaves both trees empty — the segment
     /// store becomes the sole posting layout and the index keeps only
@@ -233,46 +225,28 @@ pub struct BuildOptions {
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions {
-            store_document: true,
-            level_headroom_bits: 2,
-            extra_levels: 2,
-            index_postings: true,
-        }
+        BuildOptions { store_document: true, index_postings: true }
     }
 }
 
-/// Builds the complete disk index for `tree` inside `env`, optionally
-/// storing the serialized document so the index file is self-contained.
-/// Returns the number of distinct keywords indexed (0 with
-/// [`BuildOptions::index_postings`] off). Uses an exact-fit
-/// level table; [`build_disk_index_with`] takes explicit options.
-pub fn build_disk_index(
-    env: &StorageEnv,
-    tree: &XmlTree,
-    store_document: bool,
-) -> Result<usize> {
-    build_disk_index_with(
-        env,
-        tree,
-        &BuildOptions {
-            store_document,
-            level_headroom_bits: 0,
-            extra_levels: 0,
-            index_postings: true,
-        },
-    )
-}
+/// Version of the bytes [`build_disk_index`] writes for a given
+/// document. Bump it with any change to the built layout: caches of
+/// built indexes (the benchmark corpus) key on it and rebuild instead of
+/// measuring stale bytes. 1: level table widened by 2 bits and 2 spare
+/// levels; 2: exact-fit level table.
+pub const BUILD_VERSION: u32 = 2;
 
-/// Builds the disk index with explicit [`BuildOptions`].
-pub fn build_disk_index_with(
+/// Builds the complete disk index for `tree` inside `env`. The level
+/// table fits the document exactly (the paper's Section 4 widths);
+/// appends may later go wider or deeper, which the probe encoding and
+/// the segment store absorb. Returns the number of distinct keywords
+/// indexed (0 with [`BuildOptions::index_postings`] off).
+pub fn build_disk_index(
     env: &StorageEnv,
     tree: &XmlTree,
     options: &BuildOptions,
 ) -> Result<usize> {
-    let store_document = options.store_document;
-    let table = LevelTable::build(tree)
-        .with_headroom(options.level_headroom_bits, options.extra_levels);
+    let table = LevelTable::build(tree);
     // With `index_postings` off both layouts stay empty (the trees are
     // still created so open finds valid roots); the segment store owns
     // the postings instead, so the lists are not even gathered.
@@ -310,7 +284,7 @@ pub fn build_disk_index_with(
     BTree::bulk_load(env, SLOT_VOCAB, vocab_entries)?;
     BTree::bulk_load(env, SLOT_IL, il_keys)?;
 
-    let doc = if store_document {
+    let doc = if options.store_document {
         // Structural encoding, not XML text: XML merges adjacent text
         // siblings on re-parse, which would shift the Dewey ordinals
         // appends are allocated from (see `xk_xmltree::encode_tree`).
@@ -702,7 +676,7 @@ mod tests {
     fn build_school() -> (SharedEnv, DiskIndex) {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
         let tree = school_example();
-        let n = build_disk_index(&env, &tree, true).unwrap();
+        let n = build_disk_index(&env, &tree, &BuildOptions::default()).unwrap();
         assert!(n > 10);
         let index = DiskIndex::open(&env).unwrap();
         (SharedEnv::new(env), index)
@@ -814,7 +788,8 @@ mod tests {
     #[test]
     fn build_without_document() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 64 });
-        build_disk_index(&env, &school_example(), false).unwrap();
+        let options = BuildOptions { store_document: false, index_postings: true };
+        build_disk_index(&env, &school_example(), &options).unwrap();
         let index = DiskIndex::open(&env).unwrap();
         assert!(index.load_document(&env).unwrap().is_none());
     }
@@ -843,7 +818,7 @@ mod tests {
         let opts = EnvOptions { page_size: 512, pool_pages: 64 };
         {
             let env = StorageEnv::create(&path, opts.clone()).unwrap();
-            build_disk_index(&env, &school_example(), true).unwrap();
+            build_disk_index(&env, &school_example(), &BuildOptions::default()).unwrap();
         }
         {
             let env = StorageEnv::open(&path, opts).unwrap();

@@ -30,8 +30,8 @@ pub mod verify;
 
 pub use codec::{decode_dewey, encode_dewey, encode_probe, encode_upper_bound, CodecError, Probe};
 pub use diskindex::{
-    build_disk_index, build_disk_index_with, BuildOptions, DiskIndex, DiskRankedList,
-    DiskStreamList, IndexError, KeywordMeta, Result, SharedEnv, SLOT_IL, SLOT_VOCAB,
+    build_disk_index, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList, IndexError,
+    KeywordMeta, Result, SharedEnv, BUILD_VERSION, SLOT_IL, SLOT_VOCAB,
 };
 pub use document::{graft, tail_parent, DocumentChains};
 pub use leveltable::LevelTable;

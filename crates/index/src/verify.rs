@@ -412,7 +412,7 @@ fn verify_document(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diskindex::build_disk_index;
+    use crate::diskindex::{build_disk_index, BuildOptions};
 
     /// Vocabulary entry bytes before the start offset was added.
     const LEGACY_ENTRY: usize = 36;
@@ -421,7 +421,8 @@ mod tests {
 
     fn built_env(store_document: bool) -> StorageEnv {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
-        build_disk_index(&env, &school_example(), store_document).unwrap();
+        let options = BuildOptions { store_document, index_postings: true };
+        build_disk_index(&env, &school_example(), &options).unwrap();
         env
     }
 

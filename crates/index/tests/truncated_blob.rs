@@ -11,7 +11,7 @@ fn truncated_meta_blob_errors_instead_of_panicking() {
     let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
     // store_document = true so the blob ends with flag byte 1 + a 24-byte
     // document list handle.
-    build_disk_index(&env, &school_example(), true).unwrap();
+    build_disk_index(&env, &school_example(), &Default::default()).unwrap();
     let blob = env.user_blob().unwrap();
 
     // Cut inside the trailing document handle: the flag byte still reads
@@ -33,7 +33,7 @@ fn truncated_meta_blob_errors_instead_of_panicking() {
 #[test]
 fn truncated_fragment_log_blob_errors_instead_of_panicking() {
     let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
-    build_disk_index(&env, &school_example(), true).unwrap();
+    build_disk_index(&env, &school_example(), &Default::default()).unwrap();
     // An append turns the document section into flag byte 2 + the base
     // handle + the fragment log handle (48 bytes), at the blob's end.
     let mut index = DiskIndex::open(&env).unwrap();

@@ -37,7 +37,7 @@ pub use manifest::{
     decode_journal_record, encode_journal_record, read_manifest, replay_journal, write_manifest,
     Fence, SealedMeta, SegExt,
 };
-pub use mem::{ArcList, MemSegment, MemView};
+pub use mem::{MemSegment, MemView};
 pub use merge::{merged_lists, plan_merge, size_class, MERGE_FANOUT, MERGE_MAX_RUN};
 pub use reader::{KwEntry, SegRankedList, SegStreamList, SegmentReader};
 pub use verify::{verify_store, SegmentVerifyReport};

@@ -70,6 +70,34 @@ fn build_query_stats_lifecycle() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `stats` reports the depth the build parsed, for both layouts: the
+/// level table fits the document exactly, with no spare levels.
+#[test]
+fn stats_prints_the_parsed_depth() {
+    let dir = temp_dir("depth");
+    let xml = dir.join("school.xml");
+    std::fs::write(
+        &xml,
+        "<school><class><name>John</name></class><class><name>Ben</name></class></school>",
+    )
+    .unwrap();
+    for (tag, extra) in [("btree", None), ("segments", Some("--segments"))] {
+        let db = dir.join(format!("{tag}.db"));
+        let mut build = bin();
+        build.args(["build", xml.to_str().unwrap(), db.to_str().unwrap()]);
+        build.args(extra);
+        let out = build.output().unwrap();
+        assert!(out.status.success(), "build: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("depth 3)"), "{tag}");
+
+        let out = bin().args(["stats", db.to_str().unwrap()]).output().unwrap();
+        assert!(out.status.success(), "stats: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("document depth  : 3\n"), "{tag}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn append_command_grows_the_index() {
     let dir = temp_dir("append");

@@ -40,17 +40,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 use xk_index::{
-    build_disk_index_with, graft, tail_parent, DiskIndex, DiskRankedList, DiskStreamList, SharedEnv,
+    build_disk_index, graft, tail_parent, BuildOptions, DiskIndex, DiskRankedList, DiskStreamList,
+    SharedEnv,
 };
 use xk_segment::{
     encode_journal_record, merged_lists, plan_merge, read_manifest, replay_journal, seal,
-    verify_store, write_manifest, ArcList, DirSegmentIo, ErrorSlot, MemSegment, MemSegmentIo,
+    verify_store, write_manifest, DirSegmentIo, ErrorSlot, MemSegment, MemSegmentIo,
     MemView, SealSpec, SealedMeta, SegExt, SegmentError, SegmentIo, SegmentReader,
     SegmentVerifyReport,
 };
 use xk_slca::{
     all_lcas, indexed_lookup_eager, scan_eager, stack_merge, AlgoStats, ChainedRankedList,
-    ChainedStreamList, LcaKind, RankedList, StreamList,
+    ChainedStreamList, LcaKind, MemList, RankedList, StreamList,
 };
 use xk_storage::{
     append_records, free_list, EnvOptions, FilePager, IoStats, Pager, ReadPin, RecoveryReport,
@@ -376,10 +377,6 @@ pub struct Engine {
     document: Mutex<Option<XmlTree>>,
     /// Serializes appenders (single-writer); queries never take it.
     append_lock: Mutex<()>,
-    /// Bumped on every successful mutation ([`Engine::append_subtree`]);
-    /// coarse caches key their entries on this so served answers can
-    /// never go stale (see `xk_server::QueryCache`).
-    version: AtomicU64,
     durability: Option<DurabilityCtl>,
     /// Where appended postings go (and, for a segmented build, all of
     /// them): packed segment blobs plus a journaled mem segment.
@@ -387,37 +384,99 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an index for `tree` in a new storage file and opens it.
+    /// Builds an index for `tree` in a new storage file and opens it,
+    /// with the postings in the paper's B+tree layout: one sequential
+    /// list per keyword plus the composite-key IL tree.
     ///
     /// The build is **crash-safe**: it writes to `<db_path>.building` and
     /// atomically renames over `db_path` only after a successful build and
     /// flush. A crash mid-build leaves either the old index intact or a
     /// temp file that [`StorageEnv::open`] rejects (dirty flag set) — the
     /// final path never holds a half-built index.
-    // xk-analyze: root(durability_order)
     pub fn build(
         tree: &XmlTree,
         db_path: impl AsRef<Path>,
         options: EnvOptions,
         store_document: bool,
     ) -> Result<Engine> {
-        let db_path = db_path.as_ref();
+        let layout = BuildOptions { store_document, index_postings: true };
+        Self::build_staged(tree, db_path.as_ref(), options, &layout)
+    }
+
+    /// [`Engine::build`] with the **segment layout**: postings go into
+    /// one packed XKSEG1 blob under `<db_path>.segments/` instead of
+    /// B+tree posting trees; the structural index (frequency table,
+    /// level table, document) is built as usual. Same crash discipline
+    /// as `build`.
+    pub fn build_segmented(
+        tree: &XmlTree,
+        db_path: impl AsRef<Path>,
+        options: EnvOptions,
+        store_document: bool,
+    ) -> Result<Engine> {
+        let layout = BuildOptions { store_document, index_postings: false };
+        Self::build_staged(tree, db_path.as_ref(), options, &layout)
+    }
+
+    /// Builds an index for `tree` fully in memory (tests, small data).
+    pub fn build_in_memory(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
+        Self::build_in_memory_as(tree, options, &BuildOptions::default())
+    }
+
+    /// [`Engine::build_in_memory`] with the segment layout (blobs live in
+    /// a [`MemSegmentIo`]).
+    pub fn build_in_memory_segmented(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
+        let layout = BuildOptions { store_document: true, index_postings: false };
+        Self::build_in_memory_as(tree, options, &layout)
+    }
+
+    fn build_in_memory_as(
+        tree: &XmlTree,
+        options: EnvOptions,
+        layout: &BuildOptions,
+    ) -> Result<Engine> {
+        let env = StorageEnv::in_memory(options);
+        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
+        Self::build_into(&env, tree, io.as_ref(), layout)?;
+        Self::from_parts(env, None, io)
+    }
+
+    /// The crash-safe file build behind [`Engine::build`] and
+    /// [`Engine::build_segmented`]: the database file and the blob
+    /// directory are staged under `.building` names, flushed, and renamed
+    /// into place, each rename followed by a parent-directory fsync. A
+    /// blob directory left by the previous database goes whichever
+    /// layout wrote it: before the rename when a new one replaces it,
+    /// after the database file's rename otherwise, so a B+tree rebuild
+    /// leaves either the old database with its blobs or the new one.
+    ///
+    /// Caveat: a segmented rebuild *over* an existing database that has a
+    /// blob directory replaces the db file atomically but swaps the
+    /// directory in two steps; a crash between them leaves the old db
+    /// file without its blobs, so prefer building to a fresh path.
+    // xk-analyze: root(durability_order)
+    fn build_staged(
+        tree: &XmlTree,
+        db_path: &Path,
+        options: EnvOptions,
+        layout: &BuildOptions,
+    ) -> Result<Engine> {
         let mut tmp = db_path.as_os_str().to_os_string();
         tmp.push(".building");
-        let tmp = std::path::PathBuf::from(tmp);
-        // A stale temp file from a killed build is dead weight: replace it.
-        // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of the temp build file; a leftover is harmless")
-        let _ = std::fs::remove_file(&tmp);
+        let tmp = PathBuf::from(tmp);
+        let tmp_seg = default_segments_dir(&tmp);
+        let discard_temp = || {
+            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of temp build artifacts; leftovers are harmless")
+            let _ = std::fs::remove_file(&tmp);
+            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of temp build artifacts; leftovers are harmless")
+            let _ = std::fs::remove_dir_all(&tmp_seg);
+        };
+        // Stale temp files from a killed build are dead weight.
+        discard_temp();
         let built = (|| -> Result<()> {
             let env = StorageEnv::create(&tmp, options.clone())?;
-            // Default build options, level-table headroom included, so
-            // the built bytes (and every operation count measured on
-            // them) stay fixed; appends do not depend on the headroom.
-            build_disk_index_with(
-                &env,
-                tree,
-                &xk_index::BuildOptions { store_document, ..Default::default() },
-            )?;
+            let io = DirSegmentIo::new(&tmp_seg, env.physical_page_size());
+            Self::build_into(&env, tree, &io, layout)?;
             // An explicit checked flush: dropping the env also flushes,
             // but Drop swallows the error and the rename below would
             // publish a file whose pages never reached the disk.
@@ -425,73 +484,17 @@ impl Engine {
             Ok(())
         })();
         if let Err(e) = built {
-            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of the temp build file; a leftover is harmless")
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        std::fs::rename(&tmp, db_path)
-            .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))?;
-        sync_parent_dir(db_path);
-        Self::open(db_path, options)
-    }
-
-    /// Builds an index for `tree` fully in memory (tests, small data).
-    pub fn build_in_memory(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
-        let env = StorageEnv::in_memory(options);
-        build_disk_index_with(&env, tree, &xk_index::BuildOptions::default())?;
-        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-        Self::from_parts(env, None, io)
-    }
-
-    /// [`Engine::build`] with the **segment layout**: postings go into
-    /// one packed XKSEG1 blob under `<db_path>.segments/` instead of
-    /// B+tree posting trees; the structural index (frequency table,
-    /// level table, document) is built as usual. Same crash discipline
-    /// as `build`: both the database file and the blob directory are
-    /// staged under `.building` names and renamed into place only after
-    /// a full flush.
-    ///
-    /// Caveat: rebuilding *over* an existing segmented database replaces
-    /// the db file atomically but swaps the blob directory in two
-    /// renames; a crash exactly between them is repaired by the next
-    /// open only up to orphan deletion, so prefer building to a fresh
-    /// path.
-    // xk-analyze: root(durability_order)
-    pub fn build_segmented(
-        tree: &XmlTree,
-        db_path: impl AsRef<Path>,
-        options: EnvOptions,
-        store_document: bool,
-    ) -> Result<Engine> {
-        let db_path = db_path.as_ref();
-        let mut tmp = db_path.as_os_str().to_os_string();
-        tmp.push(".building");
-        let tmp = PathBuf::from(tmp);
-        let tmp_seg = default_segments_dir(&tmp);
-        // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-        let _ = std::fs::remove_file(&tmp);
-        // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-        let _ = std::fs::remove_dir_all(&tmp_seg);
-        let built = (|| -> Result<()> {
-            let env = StorageEnv::create(&tmp, options.clone())?;
-            let io = DirSegmentIo::new(&tmp_seg, env.physical_page_size());
-            Self::build_segment_store(&env, tree, &io, store_document)?;
-            env.flush()?;
-            Ok(())
-        })();
-        if let Err(e) = built {
-            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-            let _ = std::fs::remove_file(&tmp);
-            // xk-analyze: allow(swallowed_result, reason = "best-effort cleanup of stale temp build artifacts; leftovers are harmless")
-            let _ = std::fs::remove_dir_all(&tmp_seg);
+            discard_temp();
             return Err(e);
         }
         let seg_dir = default_segments_dir(db_path);
-        // xk-analyze: allow(swallowed_result, reason = "a previous segment directory may not exist; rename below surfaces real failures")
-        let _ = std::fs::remove_dir_all(&seg_dir);
-        if tmp_seg.exists() {
-            // Absent when the document has no postings (the directory is
-            // created lazily at the first seal).
+        // Absent when nothing was sealed (the B+tree layout, or a
+        // document without postings): the directory is created lazily
+        // at the first seal.
+        let sealed = tmp_seg.exists();
+        if sealed {
+            // xk-analyze: allow(swallowed_result, reason = "a previous segment directory may not exist; rename below surfaces real failures")
+            let _ = std::fs::remove_dir_all(&seg_dir);
             std::fs::rename(&tmp_seg, &seg_dir)
                 .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))?;
             sync_parent_dir(&seg_dir);
@@ -499,46 +502,34 @@ impl Engine {
         std::fs::rename(&tmp, db_path)
             .map_err(|e| EngineError::Storage(xk_storage::StorageError::from(e)))?;
         sync_parent_dir(db_path);
+        if !sealed {
+            // The new database references no blobs; a leftover directory
+            // that survives a crash here is removed as orphans at open.
+            // xk-analyze: allow(swallowed_result, reason = "a previous segment directory may not exist; open deletes orphan blobs")
+            let _ = std::fs::remove_dir_all(&seg_dir);
+        }
         Self::open(db_path, options)
     }
 
-    /// [`Engine::build_in_memory`] with the segment layout (blobs live in
-    /// a [`MemSegmentIo`]).
-    pub fn build_in_memory_segmented(tree: &XmlTree, options: EnvOptions) -> Result<Engine> {
-        let env = StorageEnv::in_memory(options);
-        let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-        Self::build_segment_store(&env, tree, io.as_ref(), true)?;
-        Self::from_parts(env, None, io)
-    }
-
-    /// Seeds a caller-supplied environment/blob store with the segmented
-    /// layout without constructing an engine: crash and fault-injection
-    /// tests own both halves and reopen them later through
+    /// Writes the index for `tree` into a fresh `env`. With
+    /// `layout.index_postings` the postings go into the B+trees;
+    /// without it the B+trees stay empty, the full posting set is sealed
+    /// as segment 1 in `io`, and the [`SegExt`] is recorded in the
+    /// index's extension region. Every build goes through here; crash
+    /// and fault-injection tests call it over their own environment and
+    /// blob store and reopen both through
     /// [`Engine::open_durable_with_pagers_and_io`].
-    pub fn build_segment_store_with(
-        env: &StorageEnv,
-        tree: &XmlTree,
-        io: &dyn SegmentIo,
-        store_document: bool,
-    ) -> Result<()> {
-        Self::build_segment_store(env, tree, io, store_document)
-    }
-
-    /// Shared core of the segmented builds: structural index with
-    /// postings disabled, the full posting set sealed as segment 1, and
-    /// the [`SegExt`] recorded in the index's extension region.
     // xk-analyze: root(durability_order)
-    fn build_segment_store(
+    pub fn build_into(
         env: &StorageEnv,
         tree: &XmlTree,
         io: &dyn SegmentIo,
-        store_document: bool,
+        layout: &BuildOptions,
     ) -> Result<()> {
-        build_disk_index_with(
-            env,
-            tree,
-            &xk_index::BuildOptions { store_document, index_postings: false, ..Default::default() },
-        )?;
+        build_disk_index(env, tree, layout)?;
+        if layout.index_postings {
+            return Ok(());
+        }
         let lists: BTreeMap<String, Vec<Dewey>> =
             xk_index::MemIndex::build(tree).into_sorted_lists().into_iter().collect();
         let ext = if lists.is_empty() {
@@ -710,18 +701,9 @@ impl Engine {
             index_epoch,
             document: Mutex::new(None),
             append_lock: Mutex::new(()),
-            version: AtomicU64::new(0),
             durability,
             segments,
         })
-    }
-
-    /// A counter that changes whenever the indexed data changes (every
-    /// successful [`Engine::append_subtree`]). Cache entries tagged with
-    /// an older version must be discarded. For scoped invalidation use
-    /// the epochs in [`QueryOutcome::epoch`] / [`AppendOutcome`] instead.
-    pub fn data_version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 
     /// The committed epoch — advances on every commit.
@@ -1203,7 +1185,6 @@ impl Engine {
             *lock(&seg.mem) = seg_update.mem;
             *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = seg_update.snapshot;
         }
-        self.version.fetch_add(1, Ordering::Release);
         drop(doc_slot);
         drop(append_guard);
 
@@ -1377,7 +1358,6 @@ impl Engine {
                     *lock(&seg.ext) = ext1;
                     *seg.snapshot.write().unwrap_or_else(|e| e.into_inner()) = snapshot;
                 }
-                // No data_version bump: a merge changes no answers.
                 // Retired inputs are now unreferenced by the committed
                 // manifest; live readers keep them readable via their
                 // open handles.
@@ -1568,7 +1548,7 @@ fn ranked_chain(
     }
     if let Some(l) = seg.mem.list(keyword) {
         if let Some(min) = l.first() {
-            seg_parts.push((min.clone(), Box::new(ArcList::new(Arc::clone(l)))));
+            seg_parts.push((min.clone(), Box::new(MemList::from_sorted(Arc::clone(l)))));
         }
     }
     match (disk, seg_parts.is_empty()) {
@@ -1613,7 +1593,7 @@ fn stream_chain(
     }
     if let Some(l) = seg.mem.list(keyword) {
         if !l.is_empty() {
-            parts.push(Box::new(ArcList::new(Arc::clone(l))));
+            parts.push(Box::new(MemList::from_sorted(Arc::clone(l))));
         }
     }
     match parts.len() {
@@ -1886,9 +1866,9 @@ mod tests {
     #[test]
     fn repeated_appends_outgrow_the_level_table() {
         let e = engine();
-        // The school root has 4 children (2 bits) and the default 2 bits
-        // of headroom stop the level table at ordinal 15: appends 13..20
-        // take ordinals no B+tree key could pack.
+        // The school root has 4 children, so the level table gives its
+        // children 2 bits: every append takes an ordinal (4..23) no
+        // B+tree key could pack.
         for i in 0..20 {
             e.append_subtree(
                 &Dewey::root(),
@@ -1896,7 +1876,7 @@ mod tests {
             )
             .unwrap();
         }
-        // One more, deeper than the table's build depth + extra levels.
+        // One more, deeper than the table's build depth.
         let depth = e.index().level_table().depth();
         let deep = "<x>".repeat(depth) + "John Ben" + &"</x>".repeat(depth);
         let deep_root = e.append_subtree(&Dewey::root(), &deep).unwrap().root;
@@ -1910,17 +1890,6 @@ mod tests {
             sorted.sort();
             assert_eq!(out.slcas, sorted, "{algo}");
         }
-    }
-
-    #[test]
-    fn data_version_tracks_appends() {
-        let e = engine();
-        assert_eq!(e.data_version(), 0);
-        e.append_subtree(&Dewey::root(), "<memo>hello</memo>").unwrap();
-        assert_eq!(e.data_version(), 1);
-        // Failed appends leave the version alone.
-        assert!(e.append_subtree(&d("0"), "<x/>").is_err());
-        assert_eq!(e.data_version(), 1);
     }
 
     #[test]
@@ -2014,7 +1983,7 @@ mod tests {
         {
             let env =
                 StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-            build_disk_index_with(&env, &school_example(), &xk_index::BuildOptions::default())
+            build_disk_index(&env, &school_example(), &BuildOptions::default())
                 .unwrap();
             env.flush().unwrap();
         }
@@ -2057,7 +2026,7 @@ mod tests {
         {
             let env =
                 StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
-            build_disk_index_with(&env, &school_example(), &xk_index::BuildOptions::default())
+            build_disk_index(&env, &school_example(), &BuildOptions::default())
                 .unwrap();
             env.flush().unwrap();
         }
@@ -2201,7 +2170,8 @@ mod tests {
         let opts = EnvOptions { page_size: 512, pool_pages: 256 };
         let env = StorageEnv::in_memory(opts);
         let mem_io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
-        Engine::build_segment_store(&env, &school_example(), mem_io.as_ref(), true).unwrap();
+        let layout = BuildOptions { store_document: true, index_postings: false };
+        Engine::build_into(&env, &school_example(), mem_io.as_ref(), &layout).unwrap();
         let fault = Arc::new(FaultSegmentIo::new(mem_io));
         let e = Engine::from_parts(env, None, Arc::clone(&fault) as Arc<dyn SegmentIo>)
             .unwrap();
@@ -2292,7 +2262,7 @@ mod tests {
     #[test]
     fn engine_without_blob_store_journals_but_never_seals() {
         let env = StorageEnv::in_memory(EnvOptions { page_size: 512, pool_pages: 256 });
-        build_disk_index_with(&env, &school_example(), &xk_index::BuildOptions::default())
+        build_disk_index(&env, &school_example(), &BuildOptions::default())
             .unwrap();
         let e = Engine::from_env(env).unwrap();
         // Below the threshold appends journal into the environment.

@@ -87,7 +87,7 @@ fn crashed_build_leaves_an_unopenable_file() {
         let fault = FaultPager::new(Box::new(pager), FaultConfig::none());
         let probe = fault.probe();
         let env = StorageEnv::create_with_pager(Box::new(fault), 64).unwrap();
-        xk_index::build_disk_index(&env, &school_example(), true).unwrap();
+        xk_index::build_disk_index(&env, &school_example(), &Default::default()).unwrap();
         probe.writes()
     };
     assert!(writes >= 5, "a build writes several pages, got {writes}");
@@ -100,7 +100,7 @@ fn crashed_build_leaves_an_unopenable_file() {
             FaultConfig { torn_write_at: Some(torn_at), seed: torn_at, ..FaultConfig::none() },
         );
         let env = StorageEnv::create_with_pager(Box::new(fault), 64).unwrap();
-        let result = xk_index::build_disk_index(&env, &school_example(), true);
+        let result = xk_index::build_disk_index(&env, &school_example(), &Default::default());
         assert!(result.is_err(), "build over a crashing disk must fail (torn at {torn_at})");
         drop(env);
 

@@ -146,7 +146,11 @@ fn read_fault_poisons_exactly_one_query_in_a_concurrent_batch() {
     );
     let probe = fault.probe();
     let env = StorageEnv::create_with_pager(Box::new(fault), 128).unwrap();
-    xk_index::build_disk_index(&env, &tree, false).unwrap();
+    xk_index::build_disk_index(
+        &env,
+        &tree,
+        &xk_index::BuildOptions { store_document: false, index_postings: true },
+    ).unwrap();
     let engine = Engine::from_env(env).unwrap();
 
     // Baseline answers with no fault armed.

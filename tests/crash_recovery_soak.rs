@@ -62,7 +62,7 @@ fn seed_db() -> Arc<MemPager> {
     let db = Arc::new(MemPager::new(PAGE));
     let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
     let tree = xk_xmltree::parse(SEED).unwrap();
-    xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
+    xk_index::build_disk_index(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
     env.flush().unwrap();
     db
 }

@@ -221,7 +221,7 @@ fn append_aborted_after_its_log_write_leaves_the_document_unchanged() {
         let db = Arc::new(MemPager::new(PAGE));
         let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
         let tree = xk_xmltree::parse(SEED).unwrap();
-        xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
+        xk_index::build_disk_index(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
         env.flush().unwrap();
         drop(env);
         let wal = Arc::new(MemPager::new(PAGE));

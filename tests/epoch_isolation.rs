@@ -110,7 +110,7 @@ fn racing_queries_observe_whole_snapshots_never_blends() {
     let db = Arc::new(MemPager::new(PAGE));
     let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
     let tree = xk_xmltree::parse(SEED).unwrap();
-    xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
+    xk_index::build_disk_index(&env, &tree, &xk_index::BuildOptions::default()).unwrap();
     env.flush().unwrap();
     drop(env);
 

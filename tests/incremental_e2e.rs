@@ -238,7 +238,7 @@ fn btree_database_journals_seals_and_merges_appends() {
         assert!(engine.segment_metas().len() < 5);
         assert_matches_oracle(&engine, &reference, "merged");
 
-        // Deeper than build depth + extra levels: no B+tree key could
+        // Deeper than the level table's depth: no B+tree key could
         // pack it, and the segment store never needs one.
         engine.set_seal_threshold(u64::MAX);
         let depth = engine.index().level_table().depth();

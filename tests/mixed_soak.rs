@@ -234,12 +234,8 @@ fn run_soak(tag: &'static str, seed_tag: u64, segmented: bool) {
     {
         let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), POOL).unwrap();
         let tree = xk_xmltree::parse(SEED).unwrap();
-        if segmented {
-            Engine::build_segment_store_with(&env, &tree, io.as_ref(), true).unwrap();
-        } else {
-            xk_index::build_disk_index_with(&env, &tree, &xk_index::BuildOptions::default())
-                .unwrap();
-        }
+        let layout = xk_index::BuildOptions { store_document: true, index_postings: !segmented };
+        Engine::build_into(&env, &tree, io.as_ref(), &layout).unwrap();
         env.flush().unwrap();
     }
     let wal = Arc::new(MemPager::new(PAGE));

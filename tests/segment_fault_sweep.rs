@@ -31,7 +31,8 @@ fn seed_segmented() -> (Arc<MemPager>, Arc<MemSegmentIo>) {
     let env = StorageEnv::create_with_pager(Box::new(Arc::clone(&db)), 128).unwrap();
     let io = Arc::new(MemSegmentIo::new(env.physical_page_size()));
     let tree = xk_xmltree::parse(SEED).unwrap();
-    Engine::build_segment_store_with(&env, &tree, io.as_ref(), true).unwrap();
+    let layout = xk_index::BuildOptions { store_document: true, index_postings: false };
+    Engine::build_into(&env, &tree, io.as_ref(), &layout).unwrap();
     env.flush().unwrap();
     (db, io)
 }
